@@ -5,4 +5,4 @@ limit theorems."""
 from . import classfuncs, equidist, ewens, limits, mc, multipliers
 
 __all__ = ["classfuncs", "equidist", "ewens", "limits", "mc", "multipliers"]
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -8,33 +8,19 @@ can leave (-pi, pi].
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .ewens import CycleType, Permutation
-from .multipliers import JointMultiplierModel, MultiplierModel, sample_joint_cycle, sample_T, sample_z
+from .ewens import Permutation
 
 _DET_SIZE_LIMIT = 12
 
 
 class SingularSampleError(ArithmeticError):
     """A branch-log term hit an exact zero (probability-zero event)."""
-
-
-@dataclass(frozen=True)
-class ComplexLogValue:
-    re: float
-    im: float
-
-    def __add__(self, other: "ComplexLogValue") -> "ComplexLogValue":
-        return ComplexLogValue(self.re + other.re, self.im + other.im)
-
-    def as_complex(self) -> complex:
-        return complex(self.re, self.im)
 
 
 @dataclass(frozen=True)
@@ -87,98 +73,30 @@ def spectral_function_by_label(label: str) -> SpectralFunction:
     return table[label]()
 
 
-def branch_log(w: complex) -> ComplexLogValue:
-    """Principal-branch log; strictly negative reals map to (ln|w|, +pi)."""
-    if w == 0:
-        raise SingularSampleError("log of exact zero")
-    v = cmath.log(w)
-    return ComplexLogValue(v.real, v.imag)
+def log_sums(fs: list[SpectralFunction], points, lengths, angles) -> np.ndarray:
+    """Branch-log sums of d class-function coordinates over the cycles of one sample.
 
-
-def _branch_log_sum(values: np.ndarray) -> ComplexLogValue:
-    """Termwise principal-branch log sum of an array of nonzero complex values."""
-    if np.any(values == 0):
+    Coordinate j is sum_k log f_j(e^{2 pi i (angles[., k] + lengths[k] x_j)}),
+    returned as (re_1..re_d, im_1..im_d).  `angles` holds one multiplier
+    angle per cycle: shape (K,) when every point reads the same draw (one
+    matrix), or (d, K) for per-coordinate joint draws.  log Z is the case
+    f = char_poly() with the product angles negated (T -> T^{-1}).
+    """
+    points = np.asarray(points, dtype=float)
+    angles = np.asarray(angles, dtype=float)
+    d = len(points)
+    if len(fs) != d or (angles.ndim == 2 and angles.shape[0] != d):
+        raise ValueError("points, functions and angle rows must agree on d")
+    phi = np.mod(angles + np.outer(points, lengths), 1.0)
+    vals = np.empty(phi.shape, dtype=complex)
+    # one evaluation per distinct function, not per point
+    for label in dict.fromkeys(f.label for f in fs):
+        rows = [j for j, f in enumerate(fs) if f.label == label]
+        vals[rows] = fs[rows[0]].on_circle(phi[rows])
+    if np.any(vals == 0):
         raise SingularSampleError("log of exact zero in class-function term")
-    logs = np.log(values.astype(complex))
-    return ComplexLogValue(float(logs.real.sum()), float(logs.imag.sum()))
-
-
-def log_Z(ct: CycleType, x: float, model: MultiplierModel,
-          stream: np.random.Generator) -> ComplexLogValue:
-    """Sum over cycles of log(1 - x^{-m} T_{m,k}), one fresh T per cycle.
-
-    `x` is the angle of the evaluation point e^{2 pi i x}.
-    """
-    total = ComplexLogValue(0.0, 0.0)
-    for m, c in ct.nonzero():
-        t = sample_T(model, m, stream, size=c)
-        terms = 1.0 - np.exp(2j * np.pi * (t - m * x))
-        total = total + _branch_log_sum(terms)
-    return total
-
-
-def w1(ct: CycleType, f: SpectralFunction, x: float, model: MultiplierModel,
-       stream: np.random.Generator) -> ComplexLogValue:
-    """First multiplicative class function: terms log f(x^m z_{m,k})."""
-    total = ComplexLogValue(0.0, 0.0)
-    for m, c in ct.nonzero():
-        z = sample_z(model, stream, size=c)
-        total = total + _branch_log_sum(f.on_circle(np.mod(z + m * x, 1.0)))
-    return total
-
-
-def w2(ct: CycleType, f: SpectralFunction, x: float, model: MultiplierModel,
-       stream: np.random.Generator) -> ComplexLogValue:
-    """Second multiplicative class function: terms log f(x^m T_{m,k})."""
-    total = ComplexLogValue(0.0, 0.0)
-    for m, c in ct.nonzero():
-        t = sample_T(model, m, stream, size=c)
-        total = total + _branch_log_sum(f.on_circle(np.mod(t + m * x, 1.0)))
-    return total
-
-
-def multipoint_w(ct: CycleType, kind: int, fs: list[SpectralFunction],
-                 points: list[float], joint: JointMultiplierModel,
-                 stream: np.random.Generator) -> list[ComplexLogValue]:
-    """d coordinates evaluated with shared per-cycle joint draws.
-
-    kind 1 uses the joint z draw, kind 2 the componentwise product T.
-    Coordinate j pairs function fs[j] with point angle points[j].
-    """
-    if kind not in (1, 2):
-        raise ValueError("kind must be 1 or 2")
-    d = len(points)
-    if len(fs) != d or joint.d != d:
-        raise ValueError("points, functions and joint model must agree on d")
-    totals = [ComplexLogValue(0.0, 0.0)] * d
-    for m, c in ct.nonzero():
-        for _ in range(c):
-            z_bar, t_bar = sample_joint_cycle(joint, m, stream)
-            angles = z_bar if kind == 1 else t_bar
-            for j in range(d):
-                w = fs[j].on_circle(np.array([math.fmod(angles[j] + m * points[j], 1.0)]))
-                totals[j] = totals[j] + _branch_log_sum(w)
-    return totals
-
-
-def multipoint_logZ(ct: CycleType, points: list[float], joint: JointMultiplierModel,
-                    stream: np.random.Generator) -> list[ComplexLogValue]:
-    """log Z at d points with shared per-cycle joint multiplier draws.
-
-    Terms are log(1 - x_j^{-m} T), matching log_Z coordinatewise rather
-    than the f(x^m T) convention of the general class functions.
-    """
-    d = len(points)
-    if joint.d != d:
-        raise ValueError("points and joint model must agree on d")
-    totals = [ComplexLogValue(0.0, 0.0)] * d
-    for m, c in ct.nonzero():
-        for _ in range(c):
-            _, t_bar = sample_joint_cycle(joint, m, stream)
-            for j in range(d):
-                term = 1.0 - np.exp(2j * np.pi * (t_bar[j] - m * points[j]))
-                totals[j] = totals[j] + _branch_log_sum(np.array([term]))
-    return totals
+    logs = np.log(vals)
+    return np.concatenate([logs.real.sum(axis=1), logs.imag.sum(axis=1)])
 
 
 def permutation_matrix(perm: Permutation, z_values: np.ndarray) -> np.ndarray:

@@ -72,7 +72,7 @@ def _load_experiment_config(args) -> mc.ExperimentConfig:
     if raw.get("version") != CONFIG_VERSION:
         raise ConfigError(f"config version must be {CONFIG_VERSION}")
     fields = {"n", "theta", "points", "kind", "function_labels", "model_spec",
-              "num_samples", "master_seed", "centering", "workers"}
+              "num_samples", "master_seed", "centering"}
     unknown = set(raw) - fields - {"version"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -82,8 +82,6 @@ def _load_experiment_config(args) -> mc.ExperimentConfig:
     if "function_labels" in kwargs and kwargs["function_labels"] is not None:
         kwargs["function_labels"] = tuple(kwargs["function_labels"])
     kwargs.setdefault("master_seed", _default_seed())
-    if args.workers is not None:
-        kwargs["workers"] = args.workers
     try:
         return mc.ExperimentConfig(**kwargs)
     except TypeError as exc:
@@ -92,7 +90,6 @@ def _load_experiment_config(args) -> mc.ExperimentConfig:
 
 def cmd_clt(args) -> int:
     cfg = _load_experiment_config(args)
-    mc.validate_config(cfg)
     result = mc.run_experiment(cfg)
     _emit({"version": CONFIG_VERSION, **result.to_dict()}, args.output)
     if args.dump_samples:
@@ -158,7 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("clt", help="run a Monte Carlo CLT experiment")
     p.add_argument("--config", required=True, help="ExperimentConfig JSON file")
     p.add_argument("--dump-samples", default=None, help="per-sample CSV path")
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_clt)
 

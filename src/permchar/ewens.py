@@ -219,26 +219,18 @@ def exact_feller_distribution(n: int, theta: EwensParameter) -> dict[CycleType, 
     return dist
 
 
-def psi_n(n: int, m: int, theta: EwensParameter) -> float:
+def psi_n(n: int, m, theta: EwensParameter):
     """Coupling-distance factor Psi_n(m), via log-gamma for real theta.
 
-    Psi_n(m) = binom(n-m+theta-1, n-m) / binom(n+theta-1, n).
+    Psi_n(m) = binom(n-m+theta-1, n-m) / binom(n+theta-1, n).  `m` is an
+    int (float result) or an integer array (array result), entries in 1..n.
     """
-    if not (1 <= m <= n):
+    m = np.asarray(m)
+    if np.any((m < 1) | (m > n)):
         raise ValueError("need 1 <= m <= n")
     t = theta.theta
-    return float(
-        math.exp(gammaln(n - m + t) - gammaln(n - m + 1) + gammaln(n + 1) - gammaln(n + t))
-    )
-
-
-def psi_n_vector(n: int, theta: EwensParameter) -> np.ndarray:
-    """Psi_n(m) for m = 1..n in one vectorized call."""
-    t = theta.theta
-    k = np.arange(0, n, dtype=float)  # k = n - m for m = n..1
-    g = gammaln(k + t) - gammaln(k + 1)
-    log_psi = g[::-1] + gammaln(n + 1) - gammaln(n + t)
-    return np.exp(log_psi)
+    psi = np.exp(gammaln(n - m + t) - gammaln(n - m + 1) + gammaln(n + 1) - gammaln(n + t))
+    return float(psi) if psi.ndim == 0 else psi
 
 
 def feller_coupling_gap(

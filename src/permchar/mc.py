@@ -8,6 +8,7 @@ depend on how samples are scheduled.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -19,7 +20,7 @@ from .equidist import finite_type_estimate, preset_certificate
 from .ewens import EwensParameter, chain_probabilities
 from .multipliers import (DiscreteRoots, FourierDensity, MultiplierModel, Trivial, Uniform)
 
-_KINDS = ("logZ", "w1", "w2", "multipoint", "total-cycles")
+_KINDS = ("logZ", "w1", "w2", "total-cycles")
 _CENTERINGS = ("theoretical", "empirical", "none")
 _SINGULAR_CAP = 0.001
 
@@ -39,12 +40,6 @@ class ExperimentConfig:
     num_samples: int = 1000
     master_seed: int = 0
     centering: str = "none"
-    workers: int = 1  # scheduling hint only; results never depend on it
-
-    def __post_init__(self):
-        # "multipoint" is logZ evaluated at several points with shared cycles
-        if self.kind == "multipoint":
-            object.__setattr__(self, "kind", "logZ")
 
 
 @dataclass(frozen=True)
@@ -98,7 +93,7 @@ def model_from_spec(spec: dict) -> MultiplierModel:
 
 
 def derive_stream(master_seed: int, sample_index: int, retry: int = 0) -> np.random.Generator:
-    """Independent stream for one sample; stable across runs and workers."""
+    """Independent stream for one sample; stable across runs."""
     key = (sample_index,) if retry == 0 else (sample_index, retry)
     return np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=key))
 
@@ -134,15 +129,23 @@ def _require_finite_type(points: tuple[float, ...]) -> None:
             raise RegimeViolationError("point pair fails the pairwise finite-type search")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def validate_config(cfg: ExperimentConfig) -> None:
-    if cfg.num_samples < 1:
-        raise RegimeViolationError("num_samples must be >= 1")
+    # n >= 2 keeps log n > 0 in the normalization
+    if not (_is_int(cfg.n) and cfg.n >= 2):
+        raise RegimeViolationError(f"n must be an integer >= 2, got {cfg.n!r}")
+    if not (_is_int(cfg.num_samples) and cfg.num_samples >= 1):
+        raise RegimeViolationError(f"num_samples must be an integer >= 1, got {cfg.num_samples!r}")
+    if not (isinstance(cfg.theta, numbers.Real) and not isinstance(cfg.theta, bool)
+            and math.isfinite(cfg.theta) and cfg.theta > 0):
+        raise RegimeViolationError(f"theta must be a finite real > 0, got {cfg.theta!r}")
     if cfg.kind not in _KINDS:
         raise RegimeViolationError(f"kind must be one of {_KINDS}")
     if cfg.centering not in _CENTERINGS:
         raise RegimeViolationError(f"centering must be one of {_CENTERINGS}")
-    if cfg.theta <= 0:
-        raise RegimeViolationError("theta must be positive")
     if cfg.kind != "total-cycles":
         if not cfg.points:
             raise RegimeViolationError("at least one evaluation point required")
@@ -170,34 +173,25 @@ def _sample_cycle_groups(p: np.ndarray, rng: np.random.Generator) -> tuple[np.nd
     return np.unique(gaps, return_counts=True)
 
 
-def _eval_sample(cfg: ExperimentConfig, fs, models, p: np.ndarray,
+def _eval_sample(cfg: ExperimentConfig, fs, model, p: np.ndarray,
                  rng: np.random.Generator) -> np.ndarray:
-    """One statistic draw: (re_1..re_d, im_1..im_d), or total cycles."""
+    """One statistic draw: (re_1..re_d, im_1..im_d), or total cycles.
+
+    All points read the same matrix: each cycle gets one multiplier draw
+    (z for w1, the product T otherwise), shared by every coordinate.
+    """
     lengths, mults = _sample_cycle_groups(p, rng)
     if cfg.kind == "total-cycles":
         return np.array([float(mults.sum()), 0.0])
-    d = len(cfg.points)
-    out = np.zeros(2 * d)
-    for m, c in zip(lengths, mults):
-        m = int(m)
-        for j in range(d):
-            model = models[j]
-            if cfg.kind == "w1":
-                ang = model.sample_z(rng, int(c))
-            else:
-                ang = model.sample_T(m, rng, int(c))
-            if cfg.kind == "logZ":
-                # characteristic polynomial terms 1 - x^{-m} T
-                vals = 1.0 - np.exp(2j * np.pi * (ang - m * cfg.points[j]))
-            else:
-                vals = fs[j].on_circle(np.mod(ang + m * cfg.points[j], 1.0))
-            if np.any(vals == 0):
-                raise classfuncs.SingularSampleError("exact zero in class-function term")
-            logs = np.log(vals.astype(complex))
-            out[j] += logs.real.sum()
-            d_off = d + j
-            out[d_off] += logs.imag.sum()
-    return out
+    if cfg.kind == "w1":
+        angles = [model.sample_z(rng, int(c)) for c in mults]
+    else:
+        angles = [model.sample_T(int(m), rng, int(c)) for m, c in zip(lengths, mults)]
+    angles = np.concatenate(angles)
+    if cfg.kind == "logZ":
+        # characteristic polynomial terms 1 - x^{-m} T = f(x^m T^{-1}), f = char_poly
+        angles = -angles
+    return classfuncs.log_sums(fs, cfg.points, np.repeat(lengths, mults), angles)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -208,11 +202,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     p = chain_probabilities(cfg.n, theta)
     d = max(1, len(cfg.points))
     if cfg.kind == "total-cycles":
-        fs, models = [], []
+        fs, model = [], None
         width = 2
     else:
         fs = _functions(cfg)
-        models = [model_from_spec(cfg.model_spec) for _ in cfg.points]
+        model = model_from_spec(cfg.model_spec)
         width = 2 * d
     raw = np.empty((cfg.num_samples, width))
     rejections = 0
@@ -222,7 +216,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         while True:
             rng = derive_stream(cfg.master_seed, i, retry)
             try:
-                raw[i] = _eval_sample(cfg, fs, models, p, rng)
+                raw[i] = _eval_sample(cfg, fs, model, p, rng)
                 break
             except classfuncs.SingularSampleError:
                 rejections += 1

@@ -6,7 +6,7 @@ import pytest
 
 from permchar import classfuncs as cf
 from permchar.ewens import CycleType, EwensParameter, Permutation, sample_permutation_crp
-from permchar.multipliers import IndependentProduct, Trivial, Uniform
+from permchar.multipliers import IndependentProduct, Uniform, sample_joint_cycle
 
 
 def all_permutations(n):
@@ -14,27 +14,26 @@ def all_permutations(n):
         yield Permutation(n, images)
 
 
+def _fixed(value):
+    """Spectral function equal to `value` everywhere on the circle."""
+    return cf.SpectralFunction(eval=lambda w: np.full(np.shape(w), value, dtype=complex),
+                               zero_angles=(), label=f"fixed({value})")
+
+
 def test_branch_log_principal_branch():
-    v = cf.branch_log(-1.0 + 0.0j)
-    assert v.im == pytest.approx(math.pi)  # negative reals map to +pi
-    v = cf.branch_log(1j)
-    assert v.im == pytest.approx(math.pi / 2)
+    v = cf.log_sums([_fixed(-1.0)], [0.3], [1], [0.0])
+    assert v[1] == pytest.approx(math.pi)  # negative reals map to +pi
+    v = cf.log_sums([_fixed(1j)], [0.3], [1], [0.0])
+    assert v[1] == pytest.approx(math.pi / 2)
     with pytest.raises(cf.SingularSampleError):
-        cf.branch_log(0.0)
+        cf.log_sums([_fixed(0.0)], [0.3], [1], [0.0])
 
 
 def test_branch_log_sum_accumulates_without_wrapping():
     # two terms each with arg 3pi/4: total arg 3pi/2, outside (-pi, pi]
-    w = complex(-1.0, 1.0)
-    vals = np.array([w, w])
-    total = cf._branch_log_sum(vals)
-    assert total.im == pytest.approx(1.5 * math.pi)
-
-
-def test_complex_log_value_addition():
-    a = cf.ComplexLogValue(1.0, 2.0) + cf.ComplexLogValue(0.5, -0.5)
-    assert a.re == pytest.approx(1.5)
-    assert a.as_complex() == pytest.approx(1.5 + 1.5j)
+    total = cf.log_sums([_fixed(complex(-1.0, 1.0))], [0.3], [1, 2], [0.1, 0.6])
+    assert total[0] == pytest.approx(math.log(2.0))
+    assert total[1] == pytest.approx(1.5 * math.pi)
 
 
 def test_char_poly_zero_at_angle_zero():
@@ -62,40 +61,58 @@ def test_spectral_function_by_label():
 def test_log_Z_trivial_matches_deterministic_product():
     # z = 1: log Z is sum over cycles of log(1 - e^{-2 pi i m x})
     ct = CycleType(6, (2, 2, 0, 0, 0, 0))
+    lengths = np.repeat([m for m, _ in ct.nonzero()], [c for _, c in ct.nonzero()])
     x = 0.37
-    rng = np.random.default_rng(0)
-    got = cf.log_Z(ct, x, Trivial(), rng).as_complex()
+    got = cf.log_sums([cf.char_poly()], [x], lengths, np.zeros(len(lengths)))
     want = 0.0 + 0.0j
     for m, c in ct.nonzero():
         want += c * np.log(1 - np.exp(-2j * np.pi * m * x))
-    assert got == pytest.approx(want)
+    assert complex(got[0], got[1]) == pytest.approx(want)
 
 
-class _FixedT:
-    """Multiplier model returning prescribed product angles."""
-
-    def __init__(self, angles):
-        self.angles = list(angles)
-
-    def sample_T(self, m, stream, size):
-        out = np.array([self.angles.pop(0) for _ in range(size)])
-        return np.mod(out, 1.0)
-
-    def sample_z(self, stream, size):
-        return self.sample_T(1, stream, size)
+def test_multipoint_logZ_trivial_matches_deterministic():
+    # z = 1 at d = 2: log Z at each point is sum over cycles of
+    # log(1 - e^{-2 pi i m x}), read from the (2d,) re/im layout
+    ct = CycleType(5, (1, 2, 0, 0, 0))
+    lengths = np.repeat([m for m, _ in ct.nonzero()], [c for _, c in ct.nonzero()])
+    points = [0.21, 0.77]
+    got = cf.log_sums([cf.char_poly()] * 2, points, lengths, np.zeros((2, len(lengths))))
+    for j, x in enumerate(points):
+        want = 0.0 + 0.0j
+        for m, c in ct.nonzero():
+            want += c * np.log(1 - np.exp(-2j * np.pi * m * x))
+        assert complex(got[j], got[2 + j]) == pytest.approx(want)
 
 
 def test_w2_charpoly_is_conjugate_collapse_of_log_Z():
     # Z uses terms 1 - x^{-m} T while the class function evaluates
     # f(x^m T) with f(w) = 1 - 1/w: the two coincide termwise once the
     # product angles are negated (T -> T^{-1}).
-    ct = CycleType(8, (1, 2, 1, 0, 0, 0, 0, 0))
+    lengths = np.array([1, 2, 2, 3])
+    t = np.array([0.11, 0.35, 0.62, 0.87])
     x = 0.123
-    angles = [0.11, 0.35, 0.62, 0.87]
-    rng = np.random.default_rng(0)
-    a = cf.log_Z(ct, x, _FixedT(angles), rng).as_complex()
-    b = cf.w2(ct, cf.char_poly(), x, _FixedT([-t for t in angles]), rng).as_complex()
-    assert a == pytest.approx(b, abs=1e-12)
+    want = np.log(1.0 - np.exp(2j * np.pi * (t - lengths * x))).sum()
+    got = cf.log_sums([cf.char_poly()], [x], lengths, -t)
+    assert complex(got[0], got[1]) == pytest.approx(want, abs=1e-12)
+
+
+def test_log_sums_matches_det_oracle():
+    # exp of the kernel is det(I - x^{-1} M(sigma, z)) at every point of one
+    # call, for the same sampled (sigma, z): an identity, so any seed works
+    rng = np.random.default_rng(3)
+    theta = EwensParameter(1.0)
+    points = [0.123, math.sqrt(2.0) % 1.0, 0.9]
+    for n in range(1, 9):
+        for _ in range(5):
+            perm = sample_permutation_crp(n, theta, rng)
+            z = rng.random(n)
+            cycles = perm.cycles()
+            lengths = [len(c) for c in cycles]
+            t = np.array([z[[j - 1 for j in c]].sum() for c in cycles])
+            v = cf.log_sums([cf.char_poly()] * 3, points, lengths, -t)
+            for j, x in enumerate(points):
+                det = cf.det_oracle(perm, np.exp(2j * np.pi * z), x)
+                assert abs(np.exp(complex(v[j], v[3 + j])) - det) < 1e-9
 
 
 def test_det_oracle_equals_cycle_product():
@@ -138,39 +155,32 @@ def test_antisym_eigen_product_matches_dense_det():
         assert a == pytest.approx(b, abs=1e-8)
 
 
-def test_multipoint_logZ_trivial_matches_deterministic():
-    ct = CycleType(5, (1, 2, 0, 0, 0))
-    joint = IndependentProduct([Trivial(), Trivial()])
-    points = [0.21, 0.77]
-    vals = cf.multipoint_logZ(ct, points, joint, np.random.default_rng(1))
-    for j, x in enumerate(points):
-        want = 0.0 + 0.0j
-        for m, c in ct.nonzero():
-            want += c * np.log(1 - np.exp(-2j * np.pi * m * x))
-        assert vals[j].as_complex() == pytest.approx(want)
-
-
 def test_multipoint_w_shapes_and_determinism():
-    ct = CycleType(5, (1, 2, 0, 0, 0))
+    # (d, K) joint draws: coordinate j reads row j, as a d = 1 call on that row would
     joint = IndependentProduct([Uniform(), Uniform()])
-    fs = [cf.char_poly(), cf.char_poly()]
+    lengths = [1, 2, 2]
+    fs = [cf.char_poly(), cf.sym_part()]
     points = [0.21, 0.77]
-    vals = cf.multipoint_w(ct, 2, fs, points, joint, np.random.default_rng(1))
-    vals2 = cf.multipoint_w(ct, 2, fs, points, joint, np.random.default_rng(1))
-    assert len(vals) == 2
-    for a, b in zip(vals, vals2):
-        assert a.as_complex() == b.as_complex()
+
+    def draw(seed):
+        rng = np.random.default_rng(seed)
+        return np.stack([sample_joint_cycle(joint, m, rng)[1] for m in lengths], axis=1)
+
+    angles = draw(1)
+    assert angles.shape == (2, 3)
+    assert np.array_equal(angles, draw(1))
+    vals = cf.log_sums(fs, points, lengths, angles)
+    assert vals.shape == (4,)
+    for j in range(2):
+        one = cf.log_sums([fs[j]], [points[j]], lengths, angles[j])
+        assert vals[j] == pytest.approx(one[0]) and vals[2 + j] == pytest.approx(one[1])
 
 
 def test_multipoint_dimension_mismatch():
-    ct = CycleType(3, (3, 0, 0))
-    joint = IndependentProduct([Uniform()])
     with pytest.raises(ValueError):
-        cf.multipoint_w(ct, 2, [cf.char_poly()], [0.1, 0.2], joint,
-                        np.random.default_rng(0))
+        cf.log_sums([cf.char_poly()], [0.1, 0.2], [1], [0.0])
     with pytest.raises(ValueError):
-        cf.multipoint_w(ct, 3, [cf.char_poly()], [0.1], joint,
-                        np.random.default_rng(0))
+        cf.log_sums([cf.char_poly()] * 2, [0.1, 0.2], [1], np.zeros((3, 1)))
 
 
 def test_permutation_matrix_structure():

@@ -1,8 +1,10 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+import permchar
 from permchar import cli
 
 
@@ -116,3 +118,33 @@ def test_unknown_subcommand_exit_2(capsys):
 def test_missing_config_file_exit_2(capsys):
     code, _, _ = run(capsys, ["clt", "--config", "/nonexistent/cfg.json"])
     assert code == 2
+
+
+def _clt_config(tmp_path, **overrides):
+    cfg = {"version": 1, "n": 50, "theta": 1.0, "points": [math.sqrt(2) % 1],
+           "kind": "logZ", "model_spec": {"type": "uniform"},
+           "num_samples": 5, "master_seed": 5} | overrides
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def test_clt_rejects_n_one(tmp_path, capsys):
+    # log n = 0 would make the normalization divide by zero
+    code, out, err = run(capsys, ["clt", "--config", _clt_config(tmp_path, n=1)])
+    assert code == 2
+    assert out == ""
+    assert "config error" in err and "n must be" in err
+
+
+def test_clt_rejects_string_n(tmp_path, capsys):
+    code, _, err = run(capsys, ["clt", "--config", _clt_config(tmp_path, n="100")])
+    assert code == 2
+    assert "config error" in err and "n must be" in err
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert permchar.__version__ == tomllib.load(fh)["project"]["version"]

@@ -92,10 +92,16 @@ def test_psi_n_known_values():
 
 
 def test_psi_n_vector_matches_scalar():
+    # an array m gives the scalar values entrywise; both match the product
+    # form Psi_n(m) = prod_{i<m} (n - i) / (n - i - 1 + theta)
     theta = EwensParameter(0.3)
-    vec = ewens.psi_n_vector(50, theta)
-    for m in (1, 2, 25, 49, 50):
+    vec = ewens.psi_n(50, np.arange(1, 51), theta)
+    for m in range(1, 51):
+        want = math.prod((50 - i) / (49 - i + 0.3) for i in range(m))
         assert vec[m - 1] == pytest.approx(ewens.psi_n(50, m, theta), rel=1e-12)
+        assert vec[m - 1] == pytest.approx(want, rel=1e-10)
+    with pytest.raises(ValueError):
+        ewens.psi_n(50, np.array([0, 3]), theta)
 
 
 def test_crp_permutation_is_valid_and_deterministic():
