@@ -25,7 +25,11 @@ class ConfigError(ValueError):
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("PERMCHAR_SEED", "0"))
+    raw = os.environ.get("PERMCHAR_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"PERMCHAR_SEED must be an integer, got {raw!r}") from None
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
@@ -77,7 +81,7 @@ def _load_experiment_config(args) -> mc.ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     kwargs = {k: raw[k] for k in fields if k in raw}
-    if "points" in kwargs:
+    if isinstance(kwargs.get("points"), list):  # anything else is rejected by validate_config
         kwargs["points"] = tuple(kwargs["points"])
     if "function_labels" in kwargs and kwargs["function_labels"] is not None:
         kwargs["function_labels"] = tuple(kwargs["function_labels"])
@@ -118,6 +122,7 @@ def cmd_discrepancy(args) -> int:
 
 
 def cmd_constants(args) -> int:
+    ewens.EwensParameter(args.theta)  # rejects theta <= 0 and NaN
     fs = [classfuncs.spectral_function_by_label(lb) for lb in args.function]
     if len(fs) == 1:
         payload = limits.limit_constants(fs[0]).to_dict()
@@ -180,13 +185,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # inside the try: the parser reads PERMCHAR_SEED for its defaults
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    try:
-        return args.func(args)
     except (ConfigError, mc.RegimeViolationError, ValueError, KeyError,
             FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

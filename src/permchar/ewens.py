@@ -135,11 +135,6 @@ def sample_feller_chain(n: int, theta: EwensParameter, stream: np.random.Generat
     return BernoulliChain(n, bits)
 
 
-def _spacings_from_one_positions(ones: np.ndarray) -> np.ndarray:
-    """Gap lengths between consecutive ones."""
-    return np.diff(ones)
-
-
 def cycle_counts_from_chain(chain: BernoulliChain) -> CycleType:
     """Cycle counts as m-spacings of 1 xi_2 ... xi_n 1.
 
@@ -149,7 +144,7 @@ def cycle_counts_from_chain(chain: BernoulliChain) -> CycleType:
     """
     extended = np.concatenate([chain.bits, [1]])
     ones = np.flatnonzero(extended)
-    gaps = _spacings_from_one_positions(ones)
+    gaps = np.diff(ones)
     counts = np.zeros(chain.n, dtype=int)
     for m in gaps:
         counts[m - 1] += 1
@@ -165,7 +160,7 @@ def poisson_counts_from_chain(chain: BernoulliChain, m_max: int) -> PoissonLimit
     if chain.n < 2 * m_max:
         raise HorizonTooSmallError(f"horizon {chain.n} < 2*m_max = {2 * m_max}")
     ones = np.flatnonzero(chain.bits)
-    gaps = _spacings_from_one_positions(ones)
+    gaps = np.diff(ones)
     counts = [int(np.count_nonzero(gaps == m)) for m in range(1, m_max + 1)]
     return PoissonLimitCounts(horizon=chain.n, counts=tuple(counts))
 

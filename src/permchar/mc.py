@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import classfuncs, limits
-from .equidist import finite_type_estimate, preset_certificate
+from .equidist import finite_type_estimate
 from .ewens import EwensParameter, chain_probabilities
 from .multipliers import (DiscreteRoots, FourierDensity, MultiplierModel, Trivial, Uniform)
 
@@ -118,19 +118,22 @@ def empirical_cov(samples: np.ndarray) -> np.ndarray:
 
 
 def _require_finite_type(points: tuple[float, ...]) -> None:
+    # finite_type_estimate returns a preset certificate before searching
     for phi in points:
-        cert = preset_certificate((phi,)) or finite_type_estimate(phi, 512)
-        if cert.K <= 0.0:
+        if finite_type_estimate(phi, 512).K <= 0.0:
             raise RegimeViolationError(
                 f"point angle {phi} has no finite-type certificate (rational dependence found)")
-    if len(points) == 2 and preset_certificate(tuple(points)) is None:
-        cert = finite_type_estimate(tuple(points), 64)
-        if cert.K <= 0.0:
-            raise RegimeViolationError("point pair fails the pairwise finite-type search")
+    if len(points) == 2 and finite_type_estimate(tuple(points), 64).K <= 0.0:
+        raise RegimeViolationError("point pair fails the pairwise finite-type search")
 
 
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite_real(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
@@ -139,9 +142,14 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise RegimeViolationError(f"n must be an integer >= 2, got {cfg.n!r}")
     if not (_is_int(cfg.num_samples) and cfg.num_samples >= 1):
         raise RegimeViolationError(f"num_samples must be an integer >= 1, got {cfg.num_samples!r}")
-    if not (isinstance(cfg.theta, numbers.Real) and not isinstance(cfg.theta, bool)
-            and math.isfinite(cfg.theta) and cfg.theta > 0):
+    if not (_is_finite_real(cfg.theta) and cfg.theta > 0):
         raise RegimeViolationError(f"theta must be a finite real > 0, got {cfg.theta!r}")
+    if not (isinstance(cfg.points, (list, tuple)) and all(map(_is_finite_real, cfg.points))):
+        raise RegimeViolationError(f"points must be a list of finite reals, got {cfg.points!r}")
+    if not (_is_int(cfg.master_seed) and cfg.master_seed >= 0):
+        raise RegimeViolationError(f"master_seed must be an integer >= 0, got {cfg.master_seed!r}")
+    if not isinstance(cfg.model_spec, dict):
+        raise RegimeViolationError(f"model_spec must be an object, got {cfg.model_spec!r}")
     if cfg.kind not in _KINDS:
         raise RegimeViolationError(f"kind must be one of {_KINDS}")
     if cfg.centering not in _CENTERINGS:
@@ -178,16 +186,13 @@ def _eval_sample(cfg: ExperimentConfig, fs, model, p: np.ndarray,
     """One statistic draw: (re_1..re_d, im_1..im_d), or total cycles.
 
     All points read the same matrix: each cycle gets one multiplier draw
-    (z for w1, the product T otherwise), shared by every coordinate.
+    (z = T_1 for w1, the product T_m otherwise), shared by every coordinate.
     """
     lengths, mults = _sample_cycle_groups(p, rng)
     if cfg.kind == "total-cycles":
         return np.array([float(mults.sum()), 0.0])
-    if cfg.kind == "w1":
-        angles = [model.sample_z(rng, int(c)) for c in mults]
-    else:
-        angles = [model.sample_T(int(m), rng, int(c)) for m, c in zip(lengths, mults)]
-    angles = np.concatenate(angles)
+    ms = np.ones_like(lengths) if cfg.kind == "w1" else lengths
+    angles = np.concatenate([model.sample_T(int(m), rng, int(c)) for m, c in zip(ms, mults)])
     if cfg.kind == "logZ":
         # characteristic polynomial terms 1 - x^{-m} T = f(x^m T^{-1}), f = char_poly
         angles = -angles

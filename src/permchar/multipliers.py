@@ -1,14 +1,15 @@
-"""Unit-circle multiplier models and their m-fold products.
+"""Unit-circle multiplier models, each given by its m-fold product laws.
 
 Angles live in [0, 1) and represent e^{2*pi*i*phi}.  Four regimes are
 supported: trivial (z = 1), uniform, absolutely continuous with a finite
 Fourier expansion, and discrete supported on the rho-th roots of unity.
-Joint d-point variants share per-cycle draws across coordinates.
+An m-cycle enters det(I - x^{-1} M) only through the product T_m of its
+m multipliers, so every model has one sampler, sample_T(m, stream, size);
+a single z is T_1.  Joint d-point variants return shape (d, size).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,18 @@ _VALIDATION_GRID = 4096
 
 class InvalidCoefficientsError(ValueError):
     """Fourier coefficients do not define a valid probability law."""
+
+
+def _probs_from_coeffs(coeffs: np.ndarray) -> np.ndarray:
+    """Probability table whose DFT is `coeffs` (1-D or 2-D), by inverse DFT.
+
+    The table sums to the real part of the zeroth coefficient, which the
+    callers pin to 1; only rounding-level negatives are tolerated.
+    """
+    probs = np.fft.ifftn(coeffs).real
+    if probs.min() < -1e-12:
+        raise InvalidCoefficientsError(f"negative probability {probs.min()}")
+    return np.clip(probs, 0.0, None)
 
 
 def discrete_probs_from_fourier(rho: int, coeffs: np.ndarray) -> np.ndarray:
@@ -31,33 +44,17 @@ def discrete_probs_from_fourier(rho: int, coeffs: np.ndarray) -> np.ndarray:
         raise InvalidCoefficientsError("need exactly rho coefficients")
     if abs(coeffs[0] - 1.0) > 1e-12:
         raise InvalidCoefficientsError("c_0 must equal 1")
-    k = np.arange(rho)
-    j = np.arange(rho)
-    phases = np.exp(2j * np.pi * np.outer(j, k) / rho)
-    probs = (coeffs @ phases).real / rho
-    if probs.min() < -1e-12:
-        raise InvalidCoefficientsError(f"negative probability {probs.min()}")
-    if abs(probs.sum() - 1.0) > 1e-12:
-        raise InvalidCoefficientsError("probabilities do not sum to 1")
-    return np.clip(probs, 0.0, None)
+    return _probs_from_coeffs(coeffs)
 
 
 def fourier_coeffs_from_probs(probs: np.ndarray) -> np.ndarray:
     """Forward transform: c_j = sum_k p_k e^{-2 pi i j k / rho}."""
-    probs = np.asarray(probs, dtype=float)
-    rho = len(probs)
-    j = np.arange(rho)
-    k = np.arange(rho)
-    phases = np.exp(-2j * np.pi * np.outer(j, k) / rho)
-    return phases @ probs
+    return np.fft.fft(np.asarray(probs, dtype=float))
 
 
 @dataclass(frozen=True)
 class Trivial:
     """z identically 1."""
-
-    def sample_z(self, stream: np.random.Generator, size: int) -> np.ndarray:
-        return np.zeros(size)
 
     def sample_T(self, m: int, stream: np.random.Generator, size: int) -> np.ndarray:
         return np.zeros(size)
@@ -67,13 +64,10 @@ class Trivial:
 class Uniform:
     """z uniform on the unit circle."""
 
-    def sample_z(self, stream: np.random.Generator, size: int) -> np.ndarray:
-        return stream.random(size)
-
     def sample_T(self, m: int, stream: np.random.Generator, size: int) -> np.ndarray:
-        # The m-fold product of independent uniforms is again uniform, but
-        # we keep the explicit summation so shared streams stay aligned
-        # with the joint samplers.
+        # T_m is again uniform, so one uniform per draw would be exact too;
+        # summing m uniforms keeps every uniform stream unchanged, and with
+        # it the numbers the pinned-seed acceptance checks see.
         return np.mod(stream.random((m, size)).sum(axis=0), 1.0)
 
 
@@ -82,7 +76,8 @@ class FourierDensity:
 
     `coeffs` maps j to c_j over a finite truncation window; c_0 = 1 and
     |c_j| < 1 for j != 0.  The implied density is validated nonnegative on
-    a fixed grid, and sampling uses rejection against the uniform envelope.
+    a fixed grid.  T_m has the convolved density with coefficients c_j^m,
+    sampled by rejection against its uniform envelope sum_j |c_j|^m.
     """
 
     def __init__(self, coeffs: dict[int, complex]):
@@ -100,39 +95,58 @@ class FourierDensity:
             raise InvalidCoefficientsError("density is not real; coefficients must be Hermitian")
         if dens.real.min() < -1e-10:
             raise InvalidCoefficientsError("density negative on the validation grid")
-        self._envelope = float(sum(abs(c) for c in coeffs.values()))
 
-    def density(self, phi: np.ndarray) -> np.ndarray:
+    def density(self, phi: np.ndarray, m: int = 1) -> np.ndarray:
+        """Density of T_m at angles phi; m = 1 is the density of z."""
         out = np.zeros_like(np.asarray(phi, dtype=float), dtype=complex)
-        for j, c in self.coeffs.items():
+        for j, c in convolved_density_coeffs(self, m).items():
             out += c * np.exp(2j * np.pi * j * np.asarray(phi))
         return out
 
-    def sample_z(self, stream: np.random.Generator, size: int) -> np.ndarray:
+    def sample_T(self, m: int, stream: np.random.Generator, size: int) -> np.ndarray:
+        envelope = sum(abs(c) for c in convolved_density_coeffs(self, m).values())
         out = np.empty(size)
         filled = 0
         while filled < size:
             todo = size - filled
             prop = stream.random(todo)
-            accept = stream.random(todo) * self._envelope < self.density(prop).real
+            accept = stream.random(todo) * envelope < self.density(prop, m).real
             got = prop[accept]
             out[filled:filled + len(got)] = got
             filled += len(got)
         return out
 
-    def sample_T(self, m: int, stream: np.random.Generator, size: int) -> np.ndarray:
-        total = np.zeros(size)
-        for _ in range(m):
-            total += self.sample_z(stream, size)
-        return np.mod(total, 1.0)
+
+def convolved_density_coeffs(model: FourierDensity, m: int) -> dict[int, complex]:
+    """Fourier coefficients of the m-fold convolution: j -> c_j^m."""
+    if m < 1:  # all c_j^0 = 1: not the coefficients of a density
+        raise ValueError("m must be >= 1")
+    return {j: c ** m for j, c in model.coeffs.items()}
 
 
-class DiscreteRoots:
+class _DiscreteProductLaw:
+    """Discrete law on roots of unity given by its DFT coefficients `coeffs`.
+
+    T_m has coefficients coeffs**m, so its probability table is their
+    inverse DFT.  Tables are cached per m, starting from the law of z.
+    """
+
+    def __init__(self, coeffs: np.ndarray, probs: np.ndarray):
+        self.coeffs = coeffs
+        self._laws = {1: probs}
+
+    def product_probs(self, m: int) -> np.ndarray:
+        """Law of T_m via c -> c^m."""
+        if m not in self._laws:
+            self._laws[m] = _probs_from_coeffs(self.coeffs ** m)
+        return self._laws[m]
+
+
+class DiscreteRoots(_DiscreteProductLaw):
     """Discrete z on the rho-th roots of unity.
 
     Construct either from probabilities or from Fourier coefficients
-    (see discrete_probs_from_fourier).  The product T over m draws is
-    sampled exactly from the convolved coefficient law c_j^m.
+    (see discrete_probs_from_fourier).
     """
 
     def __init__(self, rho: int, probs: np.ndarray | None = None,
@@ -148,15 +162,7 @@ class DiscreteRoots:
         if len(probs) != rho or probs.min() < 0 or abs(probs.sum() - 1.0) > 1e-12:
             raise InvalidCoefficientsError("invalid probability vector")
         self.probs = probs
-        self.coeffs = fourier_coeffs_from_probs(probs)
-
-    def sample_z(self, stream: np.random.Generator, size: int) -> np.ndarray:
-        k = stream.choice(self.rho, size=size, p=self.probs)
-        return k / self.rho
-
-    def product_probs(self, m: int) -> np.ndarray:
-        """Law of T_m on the rho-th roots of unity via c_j -> c_j^m."""
-        return discrete_probs_from_fourier(self.rho, self.coeffs ** m)
+        super().__init__(fourier_coeffs_from_probs(probs), probs)
 
     def sample_T(self, m: int, stream: np.random.Generator, size: int) -> np.ndarray:
         k = stream.choice(self.rho, size=size, p=self.product_probs(m))
@@ -164,25 +170,6 @@ class DiscreteRoots:
 
 
 MultiplierModel = Trivial | Uniform | FourierDensity | DiscreteRoots
-
-
-def sample_z(model: MultiplierModel, stream: np.random.Generator, size: int = 1) -> np.ndarray:
-    """Angles of `size` independent draws of z."""
-    return model.sample_z(stream, size)
-
-
-def sample_T(model: MultiplierModel, m: int, stream: np.random.Generator, size: int = 1) -> np.ndarray:
-    """Angles of `size` independent draws of the m-fold product T."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return model.sample_T(m, stream, size)
-
-
-def convolved_density_coeffs(model: FourierDensity, m: int) -> dict[int, complex]:
-    """Fourier coefficients of the m-fold convolution: j -> c_j^m."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return {j: c ** m for j, c in model.coeffs.items()}
 
 
 class IndependentProduct:
@@ -194,12 +181,12 @@ class IndependentProduct:
         self.models = list(models)
         self.d = len(models)
 
-    def sample_z_joint(self, stream: np.random.Generator, size: int) -> np.ndarray:
-        """(d, size) array of z angles, one joint draw per column."""
-        return np.stack([m.sample_z(stream, size) for m in self.models])
+    def sample_T(self, m: int, stream: np.random.Generator, size: int) -> np.ndarray:
+        """(d, size) angles; row j holds draws of T_m under models[j]."""
+        return np.stack([model.sample_T(m, stream, size) for model in self.models])
 
 
-class PairwiseFourier:
+class PairwiseFourier(_DiscreteProductLaw):
     """Joint discrete law for d = 2 from a pairwise coefficient table.
 
     The joint pmf on pairs of roots of unity is the 2-D inverse DFT of
@@ -223,50 +210,17 @@ class PairwiseFourier:
         for a in range(1, self.rho[0]):
             if absc[a, :].sum() >= 1.0:
                 raise InvalidCoefficientsError(f"row sum of |c| at a={a} must be < 1")
-        self.coeffs = c
-        self.joint_probs = self._probs_from_table(c)
+        self.joint_probs = _probs_from_coeffs(c)
+        super().__init__(c, self.joint_probs)
         self.d = 2
-
-    def _probs_from_table(self, table: np.ndarray) -> np.ndarray:
-        r1, r2 = self.rho
-        a = np.arange(r1)
-        b = np.arange(r2)
-        k1 = np.arange(r1)
-        k2 = np.arange(r2)
-        p1 = np.exp(2j * np.pi * np.outer(a, k1) / r1)
-        p2 = np.exp(2j * np.pi * np.outer(b, k2) / r2)
-        probs = np.einsum("ab,ak,bl->kl", table, p1, p2).real / (r1 * r2)
-        if probs.min() < -1e-12:
-            raise InvalidCoefficientsError("pairwise table yields a negative probability")
-        if abs(probs.sum() - 1.0) > 1e-10:
-            raise InvalidCoefficientsError("pairwise probabilities do not sum to 1")
-        return np.clip(probs, 0.0, None)
 
     def marginal(self, j: int) -> DiscreteRoots:
         probs = self.joint_probs.sum(axis=1 - j)
         return DiscreteRoots(self.rho[j], probs=probs)
 
-    def sample_z_joint(self, stream: np.random.Generator, size: int) -> np.ndarray:
+    def sample_T(self, m: int, stream: np.random.Generator, size: int) -> np.ndarray:
+        """(2, size) angles: each column is one joint draw of both coordinates' T_m."""
         r1, r2 = self.rho
-        flat = stream.choice(r1 * r2, size=size, p=self.joint_probs.ravel())
+        flat = stream.choice(r1 * r2, size=size, p=self.product_probs(m).ravel())
         k1, k2 = np.divmod(flat, r2)
         return np.stack([k1 / r1, k2 / r2])
-
-
-JointMultiplierModel = IndependentProduct | PairwiseFourier
-
-
-def sample_joint_cycle(model: JointMultiplierModel, m: int,
-                       stream: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """One per-cycle joint draw: (z angles, product T angles), each length d.
-
-    The product uses m independent joint draws summed componentwise, so
-    all coordinates share the same cycle while cross-cycle draws stay
-    independent.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    draws = model.sample_z_joint(stream, m)  # (d, m)... transposed below
-    z_bar = draws[:, 0]
-    t_bar = np.mod(draws.sum(axis=1), 1.0)
-    return z_bar, t_bar

@@ -6,7 +6,7 @@ import pytest
 
 from permchar import classfuncs as cf
 from permchar.ewens import CycleType, EwensParameter, Permutation, sample_permutation_crp
-from permchar.multipliers import IndependentProduct, Uniform, sample_joint_cycle
+from permchar.multipliers import IndependentProduct, Uniform
 
 
 def all_permutations(n):
@@ -164,7 +164,7 @@ def test_multipoint_w_shapes_and_determinism():
 
     def draw(seed):
         rng = np.random.default_rng(seed)
-        return np.stack([sample_joint_cycle(joint, m, rng)[1] for m in lengths], axis=1)
+        return np.concatenate([joint.sample_T(m, rng, 1) for m in lengths], axis=1)
 
     angles = draw(1)
     assert angles.shape == (2, 3)

@@ -143,6 +143,31 @@ def test_clt_rejects_string_n(tmp_path, capsys):
     assert "config error" in err and "n must be" in err
 
 
+def test_clt_rejects_nan_point(tmp_path, capsys):
+    # json reads NaN; it must not come back as NaN in every result field
+    code, out, err = run(capsys, ["clt", "--config", _clt_config(tmp_path, points=[math.nan])])
+    assert code == 2
+    assert out == ""
+    assert "config error" in err and "points must be" in err
+
+
+def test_bad_seed_environment_exit_2(capsys, monkeypatch):
+    monkeypatch.setenv("PERMCHAR_SEED", "abc")
+    code, out, err = run(capsys, ["feller-check", "--n", "4", "--theta", "1"])
+    assert code == 2
+    assert out == ""
+    assert "config error:" in err and "PERMCHAR_SEED" in err
+
+
+def test_constants_rejects_bad_theta(capsys):
+    for theta in ("-1", "nan"):
+        code, out, err = run(capsys, ["constants", "--function", "charpoly", "charpoly",
+                                      "--theta", theta])
+        assert code == 2
+        assert out == ""
+        assert "config error:" in err and "theta" in err
+
+
 def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"

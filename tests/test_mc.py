@@ -71,7 +71,9 @@ def test_validate_config_rejects_bad_inputs():
         mc.validate_config(mc.ExperimentConfig(n=10, theta=1.0, points=()))
     for bad in (dict(n=1), dict(n="100"), dict(n=10.0), dict(theta=float("nan")),
                 dict(theta="1"), dict(num_samples=0), dict(num_samples=2.5),
-                dict(kind="multipoint")):
+                dict(kind="multipoint"), dict(points=0.3), dict(points=(float("nan"),)),
+                dict(points=("0.3",)), dict(master_seed=1.5), dict(master_seed=-1),
+                dict(model_spec=["uniform"])):
         cfg = dict(n=10, theta=1.0, points=(0.1,), num_samples=5) | bad
         with pytest.raises(mc.RegimeViolationError):
             mc.validate_config(mc.ExperimentConfig(**cfg))

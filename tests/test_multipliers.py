@@ -25,7 +25,7 @@ def test_discrete_probs_validation():
 def test_trivial_model():
     rng = np.random.default_rng(0)
     m = Trivial()
-    assert np.all(m.sample_z(rng, 5) == 0.0)
+    assert np.all(m.sample_T(1, rng, 5) == 0.0)
     assert np.all(m.sample_T(7, rng, 5) == 0.0)
 
 
@@ -35,6 +35,12 @@ def test_uniform_product_is_uniform():
     assert 0.0 <= t.min() and t.max() < 1.0
     hist, _ = np.histogram(t, bins=10, range=(0, 1))
     assert np.abs(hist - 2000).max() < 5 * np.sqrt(2000)
+
+
+def test_uniform_z_is_the_plain_uniform_stream():
+    # z is T_1, and w1 relies on T_1 drawing exactly rng.random(k)
+    z = Uniform().sample_T(1, np.random.default_rng(11), 9)
+    assert np.array_equal(z, np.random.default_rng(11).random(9))
 
 
 def test_fourier_density_rejects_bad_coeffs():
@@ -48,7 +54,7 @@ def test_fourier_density_sampling_matches_density():
     # g(phi) = 1 + 0.8 cos(2 pi phi): c_1 = c_{-1} = 0.4
     model = FourierDensity({1: 0.4, -1: 0.4})
     rng = np.random.default_rng(5)
-    z = model.sample_z(rng, 50000)
+    z = model.sample_T(1, rng, 50000)
     # E[cos(2 pi z)] = 0.4 for this density
     est = np.cos(2 * np.pi * z).mean()
     assert est == pytest.approx(0.4, abs=0.01)
@@ -61,6 +67,15 @@ def test_fourier_density_product_coefficients():
     rng = np.random.default_rng(6)
     t = model.sample_T(3, rng, 50000)
     assert np.cos(2 * np.pi * t).mean() == pytest.approx(0.4 ** 3, abs=0.01)
+    # E[e^{-2 pi i k T_m}] = c_k^m, with a complex c_1 so phases are checked too
+    c1 = 0.3 + 0.2j
+    model = FourierDensity({1: c1, -1: c1.conjugate(), 2: 0.1, -2: 0.1})
+    n = 200_000
+    for m in (1, 2, 3, 5):
+        t = model.sample_T(m, rng, n)
+        for k in (1, 2):
+            est = np.exp(-2j * np.pi * k * t).mean()
+            assert abs(est - model.coeffs[k] ** m) < 5 / np.sqrt(n)
 
 
 def test_discrete_roots_product_law():
@@ -77,14 +92,14 @@ def test_discrete_roots_product_law():
 def test_discrete_roots_samples_on_lattice():
     model = DiscreteRoots(3, probs=np.array([0.2, 0.5, 0.3]))
     rng = np.random.default_rng(2)
-    z = model.sample_z(rng, 1000)
+    z = model.sample_T(1, rng, 1000)
     assert set(np.round(z * 3).astype(int)) <= {0, 1, 2}
 
 
 def test_independent_product_shapes():
     joint = IndependentProduct([Uniform(), Trivial()])
     rng = np.random.default_rng(3)
-    draws = joint.sample_z_joint(rng, 7)
+    draws = joint.sample_T(1, rng, 7)
     assert draws.shape == (2, 7)
     assert np.all(draws[1] == 0.0)
 
@@ -103,8 +118,19 @@ def test_pairwise_fourier_marginals_and_sampling():
     assert np.allclose(joint.marginal(0).probs, [0.6, 0.4], atol=1e-12)
 
     rng = np.random.default_rng(8)
-    z = joint.sample_z_joint(rng, 40000)
+    z = joint.sample_T(1, rng, 40000)
     assert (z[0] == 0).mean() == pytest.approx(0.6, abs=0.01)
+
+
+def test_pairwise_fourier_product_law():
+    table = np.array([[1.0, 0.3], [0.2, 0.1]])  # not a product of marginals
+    joint = PairwiseFourier((2, 2), table)
+    p = joint.joint_probs
+    # direct convolution oracle on Z/2 x Z/2
+    direct = np.zeros((2, 2))
+    for a1, a2, b1, b2 in np.ndindex(2, 2, 2, 2):
+        direct[(a1 + b1) % 2, (a2 + b2) % 2] += p[a1, a2] * p[b1, b2]
+    assert np.allclose(joint.product_probs(2), direct, atol=1e-12)
 
 
 def test_pairwise_fourier_validation():
@@ -116,8 +142,13 @@ def test_pairwise_fourier_validation():
 def test_sample_joint_cycle_shares_cycle_length():
     joint = IndependentProduct([Uniform(), Uniform()])
     rng = np.random.default_rng(4)
-    z_bar, t_bar = mult.sample_joint_cycle(joint, 5, rng)
-    assert z_bar.shape == (2,) and t_bar.shape == (2,)
+    z_bar, t_bar = joint.sample_T(1, rng, 1), joint.sample_T(5, rng, 1)
+    assert z_bar.shape == (2, 1) and t_bar.shape == (2, 1)
     assert np.all((0 <= t_bar) & (t_bar < 1))
+    # T_0 is the empty product, angle 0, for every law except the Fourier
+    # one, whose c_j^0 = 1 are not the coefficients of a density
+    pair = PairwiseFourier((2, 2), np.array([[1.0, 0.3], [0.2, 0.1]]))
+    for model in (joint, pair, Trivial(), DiscreteRoots(3, probs=np.array([0.2, 0.5, 0.3]))):
+        assert np.all(model.sample_T(0, rng, 3) == 0.0)
     with pytest.raises(ValueError):
-        mult.sample_joint_cycle(joint, 0, rng)
+        FourierDensity({1: 0.4, -1: 0.4}).sample_T(0, rng, 1)
