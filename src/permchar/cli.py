@@ -44,12 +44,11 @@ def _emit(payload: dict, out_path: str | None) -> None:
 def cmd_sample(args) -> int:
     if args.n < 1 or args.theta <= 0 or args.count < 1:
         raise ConfigError("need n >= 1, theta > 0, count >= 1")
-    theta = ewens.EwensParameter(args.theta)
+    p = ewens.chain_probabilities(args.n, ewens.EwensParameter(args.theta))
     rows = []
     for i in range(args.count):
-        rng = mc.derive_stream(args.seed, i)
-        chain = ewens.sample_feller_chain(args.n, theta, rng)
-        ct = ewens.cycle_counts_from_chain(chain)
+        bits = ewens.sample_feller_chain(p, mc.derive_stream(args.seed, i))
+        ct = ewens.cycle_counts_from_chain(bits)
         rows.append({"sample_index": i, "cycle_counts": list(ct.counts),
                      "total_cycles": ct.total_cycles})
     if args.format == "csv":
@@ -81,10 +80,9 @@ def _load_experiment_config(args) -> mc.ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     kwargs = {k: raw[k] for k in fields if k in raw}
-    if isinstance(kwargs.get("points"), list):  # anything else is rejected by validate_config
-        kwargs["points"] = tuple(kwargs["points"])
-    if "function_labels" in kwargs and kwargs["function_labels"] is not None:
-        kwargs["function_labels"] = tuple(kwargs["function_labels"])
+    for key in ("points", "function_labels"):
+        if isinstance(kwargs.get(key), list):  # anything else is rejected by validate_config
+            kwargs[key] = tuple(kwargs[key])
     kwargs.setdefault("master_seed", _default_seed())
     try:
         return mc.ExperimentConfig(**kwargs)
@@ -114,7 +112,7 @@ def cmd_discrepancy(args) -> int:
     phi_arg = phis[0] if len(phis) == 1 else phis
     seq = equidist.kronecker(phi_arg, args.n)
     exact = equidist.star_discrepancy_exact(seq)
-    etk = equidist.etk_bound(phi_arg, args.n, args.etk_H) if args.etk_H else None
+    etk = equidist.etk_bound(phi_arg, args.n, args.etk_H) if args.etk_H is not None else None
     report = equidist.DiscrepancyReport(n=args.n, d=len(phis), exact_value=exact,
                                         etk_bound=etk)
     _emit(report.to_dict(), args.output)

@@ -1,16 +1,17 @@
 """Ewens-distributed cycle structures via the Feller coupling.
 
 The Feller coupling builds the cycle counts of an Ewens(theta) permutation
-and their Poisson limits from a single chain of independent Bernoulli bits,
-which lets us compare the two pathwise.  The Chinese restaurant process
-provides a second, independent sampler producing an explicit permutation.
+and their Poisson limits from a single chain of independent Bernoulli bits
+(drawn by `sample_feller_chain`, read by `cycle_groups`), which lets us
+compare the two pathwise.  The Chinese restaurant process provides a second,
+independent sampler producing the explicit permutation the oracles need.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -37,20 +38,6 @@ class EwensParameter:
     def __post_init__(self):
         if not (math.isfinite(self.theta) and self.theta > 0):
             raise ValueError(f"theta must be positive and finite, got {self.theta}")
-
-
-@dataclass(frozen=True)
-class BernoulliChain:
-    """Bits xi_1..xi_n of the Feller chain; xi_1 is always 1."""
-
-    n: int
-    bits: np.ndarray
-
-    def __post_init__(self):
-        if self.bits.shape != (self.n,):
-            raise ValueError("bits length must equal n")
-        if self.n >= 1 and self.bits[0] != 1:
-            raise ValueError("xi_1 must be 1")
 
 
 @dataclass(frozen=True)
@@ -108,61 +95,51 @@ class Permutation:
         return CycleType(self.n, tuple(counts))
 
 
-@dataclass(frozen=True)
-class PoissonLimitCounts:
-    """Estimated Y_m spacing counts from a finite chain of length `horizon`.
-
-    Spacings straddling the horizon are dropped, so each count is biased
-    low by O(m / horizon).
-    """
-
-    horizon: int
-    counts: tuple[int, ...] = field(default=())
-
-
 def chain_probabilities(n: int, theta: EwensParameter) -> np.ndarray:
     """P(xi_i = 1) = theta / (theta + i - 1) for i = 1..n."""
     i = np.arange(1, n + 1, dtype=float)
     return theta.theta / (theta.theta + i - 1.0)
 
 
-def sample_feller_chain(n: int, theta: EwensParameter, stream: np.random.Generator) -> BernoulliChain:
-    """Draw the Bernoulli chain xi_1..xi_n of the Feller coupling."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    bits = (stream.random(n) < chain_probabilities(n, theta)).astype(np.int8)
-    bits[0] = 1
-    return BernoulliChain(n, bits)
+def sample_feller_chain(p: np.ndarray, stream: np.random.Generator) -> np.ndarray:
+    """Draw the bits xi_1..xi_n of the Feller chain, with xi_1 = 1.
+
+    `p` is chain_probabilities(n, theta), computed once per run.
+    """
+    bits = stream.random(len(p)) < p
+    bits[0] = True
+    return bits
 
 
-def cycle_counts_from_chain(chain: BernoulliChain) -> CycleType:
-    """Cycle counts as m-spacings of 1 xi_2 ... xi_n 1.
+def cycle_groups(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cycle lengths and multiplicities: the m-spacings of 1 xi_2 ... xi_n 1.
 
     A gap of length m between consecutive ones of the extended chain
     contributes one cycle of length m; the appended 1 supplies the
     boundary term, so the gap lengths sum to n exactly.
     """
-    extended = np.concatenate([chain.bits, [1]])
-    ones = np.flatnonzero(extended)
-    gaps = np.diff(ones)
-    counts = np.zeros(chain.n, dtype=int)
-    for m in gaps:
-        counts[m - 1] += 1
-    return CycleType(chain.n, tuple(int(c) for c in counts))
+    gaps = np.diff(np.append(np.flatnonzero(bits), len(bits)))
+    return np.unique(gaps, return_counts=True)
 
 
-def poisson_counts_from_chain(chain: BernoulliChain, m_max: int) -> PoissonLimitCounts:
-    """Count m-spacings (m <= m_max) within the chain, no appended 1.
+def cycle_counts_from_chain(bits: np.ndarray) -> CycleType:
+    """Counts (c_1, ..., c_n) of the cycle type that `cycle_groups` reads."""
+    lengths, mults = cycle_groups(bits)
+    counts = np.zeros(len(bits), dtype=int)
+    counts[lengths - 1] = mults
+    return CycleType(len(bits), tuple(counts.tolist()))
 
-    The chain stands in for a prefix of the infinite sequence, so only
-    spacings that close with a 1 inside the horizon are counted.
+
+def poisson_counts_from_chain(bits: np.ndarray, m_max: int) -> tuple[int, ...]:
+    """Estimated Y_1..Y_{m_max}: m-spacings within the chain, no appended 1.
+
+    Only spacings that close with a 1 inside the horizon are counted, so
+    each count is biased low by O(m / horizon).
     """
-    if chain.n < 2 * m_max:
-        raise HorizonTooSmallError(f"horizon {chain.n} < 2*m_max = {2 * m_max}")
-    ones = np.flatnonzero(chain.bits)
-    gaps = np.diff(ones)
-    counts = [int(np.count_nonzero(gaps == m)) for m in range(1, m_max + 1)]
-    return PoissonLimitCounts(horizon=chain.n, counts=tuple(counts))
+    if len(bits) < 2 * m_max:
+        raise HorizonTooSmallError(f"horizon {len(bits)} < 2*m_max = {2 * m_max}")
+    gaps = np.diff(np.flatnonzero(bits))
+    return tuple(np.bincount(gaps, minlength=m_max + 1)[1:m_max + 1].tolist())
 
 
 def sample_permutation_crp(n: int, theta: EwensParameter, stream: np.random.Generator) -> Permutation:
@@ -200,16 +177,16 @@ def esf_probability(ct: CycleType, theta: EwensParameter) -> float:
 
 def exact_feller_distribution(n: int, theta: EwensParameter) -> dict[CycleType, float]:
     """Exact law of cycle_counts_from_chain by enumerating all 2^(n-1) chains."""
-    if n > 16:
-        raise SizeLimitError("exact enumeration supported only for n <= 16")
+    if not 1 <= n <= 16:
+        raise SizeLimitError(f"exact enumeration needs 1 <= n <= 16, got n = {n}")
     p = chain_probabilities(n, theta)
     dist: dict[CycleType, float] = {}
     for tail in itertools.product((0, 1), repeat=n - 1):
-        bits = np.array((1,) + tail, dtype=np.int8)
+        bits = np.array((1,) + tail, dtype=bool)
         prob = 1.0
         for i in range(1, n):
             prob *= p[i] if bits[i] else (1.0 - p[i])
-        ct = cycle_counts_from_chain(BernoulliChain(n, bits))
+        ct = cycle_counts_from_chain(bits)
         dist[ct] = dist.get(ct, 0.0) + prob
     return dist
 
@@ -228,46 +205,19 @@ def psi_n(n: int, m, theta: EwensParameter):
     return float(psi) if psi.ndim == 0 else psi
 
 
-def feller_coupling_gap(
-    n: int,
-    theta: EwensParameter,
-    m: int,
-    num_samples: int,
-    stream: np.random.Generator,
-    horizon: int | None = None,
-) -> float:
-    """Monte Carlo estimate of E|C_m - Y_m| using one chain for both counts."""
+def feller_coupling_gap(n: int, theta: EwensParameter, m: int, num_samples: int,
+                        stream: np.random.Generator) -> float:
+    """Monte Carlo estimate of E|C_m - Y_m| using one chain for both counts.
+
+    C_m reads the first n bits of the chain, Y_m all max(10 n, 2 m) of them.
+    """
     if not (1 <= m <= n) or num_samples < 1:
         raise ValueError("need 1 <= m <= n and num_samples >= 1")
-    L = horizon if horizon is not None else max(10 * n, 2 * m)
-    p = chain_probabilities(L, theta)
-    total = 0.0
-    chunk = max(1, min(num_samples, 10_000_000 // L))
-    done = 0
-    while done < num_samples:
-        c = min(chunk, num_samples - done)
-        bits = stream.random((c, L)) < p
-        bits[:, 0] = True
-        # C_m: spacings of 1 xi_2..xi_n 1; Y_m: spacings within the full chain.
-        ext = np.ones((c, n + 1), dtype=bool)
-        ext[:, :n] = bits[:, :n]
-        c_m = _count_gaps_rows(ext, m)
-        y_m = _count_gaps_rows(bits, m)
-        total += float(np.abs(c_m - y_m).sum())
-        done += c
+    p = chain_probabilities(max(10 * n, 2 * m), theta)
+    total = 0
+    for _ in range(num_samples):
+        bits = sample_feller_chain(p, stream)
+        lengths, mults = cycle_groups(bits[:n])
+        c_m = int(mults[lengths == m].sum())
+        total += abs(c_m - poisson_counts_from_chain(bits, m)[m - 1])
     return total / num_samples
-
-
-def _count_gaps_rows(bits: np.ndarray, m: int) -> np.ndarray:
-    """Per-row count of gaps of length m between consecutive ones."""
-    rows, cols = bits.shape
-    flat = np.flatnonzero(bits.ravel())
-    if flat.size == 0:
-        return np.zeros(rows, dtype=int)
-    row_of = flat // cols
-    gaps = np.diff(flat)
-    same_row = np.diff(row_of) == 0
-    hit = same_row & (gaps == m)
-    out = np.zeros(rows, dtype=int)
-    np.add.at(out, row_of[:-1][hit], 1)
-    return out

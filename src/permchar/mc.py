@@ -17,7 +17,7 @@ from scipy.special import ndtr
 
 from . import classfuncs, limits
 from .equidist import finite_type_estimate
-from .ewens import EwensParameter, chain_probabilities
+from .ewens import EwensParameter, chain_probabilities, cycle_groups, sample_feller_chain
 from .multipliers import (DiscreteRoots, FourierDensity, MultiplierModel, Trivial, Uniform)
 
 _KINDS = ("logZ", "w1", "w2", "total-cycles")
@@ -81,15 +81,24 @@ def model_from_spec(spec: dict) -> MultiplierModel:
     if kind == "trivial":
         return Trivial()
     if kind == "fourier":
-        coeffs = {int(j): complex(c[0], c[1]) if isinstance(c, (list, tuple)) else complex(c)
-                  for j, c in spec["coeffs"].items()}
-        return FourierDensity(coeffs)
+        coeffs = spec.get("coeffs")
+        if not isinstance(coeffs, dict):
+            raise RegimeViolationError(f"fourier coeffs must be an object, got {coeffs!r}")
+        return FourierDensity({int(j): _coefficient(c) for j, c in coeffs.items()})
     if kind == "discrete":
         rho = int(spec["rho"])
         if "probs" in spec:
             return DiscreteRoots(rho, probs=np.asarray(spec["probs"], dtype=float))
         return DiscreteRoots(rho, coeffs=np.asarray(spec["coeffs"], dtype=complex))
     raise RegimeViolationError(f"unknown model type {spec.get('type')!r}")
+
+
+def _coefficient(c) -> complex:
+    """A Fourier coefficient given as a real number or an [re, im] pair."""
+    pair = c if isinstance(c, (list, tuple)) else (c, 0.0)
+    if len(pair) != 2 or not all(map(_is_finite_real, pair)):
+        raise RegimeViolationError(f"fourier coefficient must be a number or [re, im], got {c!r}")
+    return complex(*pair)
 
 
 def derive_stream(master_seed: int, sample_index: int, retry: int = 0) -> np.random.Generator:
@@ -148,6 +157,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise RegimeViolationError(f"points must be a list of finite reals, got {cfg.points!r}")
     if not (_is_int(cfg.master_seed) and cfg.master_seed >= 0):
         raise RegimeViolationError(f"master_seed must be an integer >= 0, got {cfg.master_seed!r}")
+    labels = cfg.function_labels
+    if not (labels is None or (isinstance(labels, (list, tuple))
+                               and all(isinstance(lb, str) for lb in labels))):
+        raise RegimeViolationError(f"function_labels must be a list of strings, got {labels!r}")
     if not isinstance(cfg.model_spec, dict):
         raise RegimeViolationError(f"model_spec must be an object, got {cfg.model_spec!r}")
     if cfg.kind not in _KINDS:
@@ -173,12 +186,9 @@ def _functions(cfg: ExperimentConfig) -> list[classfuncs.SpectralFunction]:
 
 def _sample_cycle_groups(p: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Cycle lengths and multiplicities of one Feller-chain draw."""
-    n = len(p)
-    bits = rng.random(n) < p
-    bits[0] = True
-    ones = np.flatnonzero(bits)
-    gaps = np.diff(np.append(ones, n))
-    return np.unique(gaps, return_counts=True)
+    # kept as a function of its own: perfbench's tracer counts ewens.cycles
+    # by the qualified name mc._sample_cycle_groups
+    return cycle_groups(sample_feller_chain(p, rng))
 
 
 def _eval_sample(cfg: ExperimentConfig, fs, model, p: np.ndarray,
@@ -247,16 +257,17 @@ def _normalize(cfg: ExperimentConfig, fs, raw: np.ndarray) -> np.ndarray:
         return raw.copy()
     d = len(cfg.points)
     out = raw.copy()
-    logn = math.log(cfg.n)
     for j, f in enumerate(fs):
         consts = limits.limit_constants(f)
         if cfg.centering == "theoretical":
-            out[:, j] -= cfg.theta * consts.m_R * logn
-            out[:, d + j] -= cfg.theta * consts.m_I * logn
+            c = limits.centering(cfg.n, cfg.theta, f, consts)
+            out[:, j] -= c.real
+            out[:, d + j] -= c.imag
         elif cfg.centering == "empirical":
             out[:, j] -= raw[:, j].mean()
             out[:, d + j] -= raw[:, d + j].mean()
-        out[:, j] /= math.sqrt(cfg.theta * consts.V_R * logn)
-        if consts.V_I > 0:
-            out[:, d + j] /= math.sqrt(cfg.theta * consts.V_I * logn)
+        # a coordinate with zero limit variance (const:c) is left unscaled, not 0/0
+        for col, part, V in ((j, "re", consts.V_R), (d + j, "im", consts.V_I)):
+            if V > 0:
+                out[:, col] /= limits.normalization(cfg.n, cfg.theta, f, part, consts)
     return out

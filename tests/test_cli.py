@@ -2,10 +2,11 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import permchar
-from permchar import cli
+from permchar import cli, ewens, mc
 
 
 def run(capsys, argv):
@@ -32,6 +33,20 @@ def test_sample_rejects_negative_theta(capsys):
                                 "--count", "1"])
     assert code == 2
     assert "error" in err
+
+
+def test_mc_cycle_groups_match_cli_sample(capsys):
+    # the Monte Carlo reads the same chain as `sample` at each (seed, index)
+    for n, theta, seed in ((10, 1.0, 7), (200, 0.4, 3), (1000, 2.5, 11)):
+        code, out, _ = run(capsys, ["sample", "--n", str(n), "--theta", str(theta),
+                                    "--count", "4", "--seed", str(seed)])
+        assert code == 0
+        p = ewens.chain_probabilities(n, ewens.EwensParameter(theta))
+        for row in json.loads(out)["samples"]:
+            lengths, mults = mc._sample_cycle_groups(p, mc.derive_stream(seed, row["sample_index"]))
+            counts = np.zeros(n, dtype=int)
+            counts[lengths - 1] = mults
+            assert counts.tolist() == row["cycle_counts"]
 
 
 def test_sample_csv_format(capsys):
@@ -166,6 +181,34 @@ def test_constants_rejects_bad_theta(capsys):
         assert code == 2
         assert out == ""
         assert "config error:" in err and "theta" in err
+
+
+def test_clt_constant_function_is_finite(tmp_path, capsys):
+    # const:1 has V_R = 0 exactly: that coordinate stays unscaled, not 0/0
+    path = _clt_config(tmp_path, function_labels=["const:1"], centering="theoretical")
+    code, out, _ = run(capsys, ["clt", "--config", path])
+    assert code == 0
+    payload = json.loads(out)
+    assert all(math.isfinite(v) for key in ("raw_mean", "mean", "var", "ks") for v in payload[key])
+    assert payload["mean"] == [0.0, 0.0]
+
+
+def test_bad_inputs_exit_2(tmp_path, capsys):
+    def rejected(argv, message):
+        code, out, err = run(capsys, argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "config error:" in err and message in err
+
+    for overrides, message in (
+            (dict(function_labels=[1]), "function_labels"),
+            (dict(function_labels="charpoly"), "function_labels"),
+            (dict(model_spec={"type": "fourier", "coeffs": [0.3]}), "coeffs"),
+            (dict(model_spec={"type": "fourier", "coeffs": {"1": [0.3]}}), "coefficient")):
+        rejected(["clt", "--config", _clt_config(tmp_path, **overrides)], message)
+    # H = 0 is a value, not "no H given"
+    rejected(["discrepancy", "--kronecker", "0.414", "--n", "100", "--etk-H", "0"], "H must be")
+    rejected(["feller-check", "--n", "0", "--theta", "1"], "1 <= n <= 16")
 
 
 def test_version_matches_pyproject():

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from permchar import ewens
-from permchar.ewens import (BernoulliChain, CycleType, EwensParameter,
-                            HorizonTooSmallError, InvalidCycleTypeError,
-                            Permutation, SizeLimitError)
+from permchar.ewens import (CycleType, EwensParameter, HorizonTooSmallError,
+                            InvalidCycleTypeError, Permutation, SizeLimitError)
 
 
 def test_theta_must_be_positive():
@@ -35,31 +34,42 @@ def test_cycle_type_weight_invariant():
 
 def test_cycle_counts_from_chain_identity_chain():
     # all ones -> n fixed points
-    chain = BernoulliChain(5, np.ones(5, dtype=np.int8))
-    ct = ewens.cycle_counts_from_chain(chain)
+    ones = np.ones(5, dtype=bool)
+    ct = ewens.cycle_counts_from_chain(ones)
     assert ct.counts == (5, 0, 0, 0, 0)
+    lengths, mults = ewens.cycle_groups(ones)
+    assert lengths.tolist() == [1] and mults.tolist() == [5]
 
     # single leading one -> one n-cycle
-    bits = np.zeros(5, dtype=np.int8)
-    bits[0] = 1
-    ct = ewens.cycle_counts_from_chain(BernoulliChain(5, bits))
+    bits = np.zeros(5, dtype=bool)
+    bits[0] = True
+    ct = ewens.cycle_counts_from_chain(bits)
     assert ct.counts == (0, 0, 0, 0, 1)
+    lengths, mults = ewens.cycle_groups(bits)
+    assert lengths.tolist() == [5] and mults.tolist() == [1]
 
 
 def test_sampled_cycle_counts_sum_to_n():
     rng = np.random.default_rng(42)
-    theta = EwensParameter(0.7)
+    p = ewens.chain_probabilities(30, EwensParameter(0.7))
     for _ in range(50):
-        chain = ewens.sample_feller_chain(30, theta, rng)
-        ct = ewens.cycle_counts_from_chain(chain)
+        bits = ewens.sample_feller_chain(p, rng)
+        ct = ewens.cycle_counts_from_chain(bits)
         assert sum(m * c for m, c in ct.nonzero()) == 30
+        # reference reader: a cycle closes before each later 1 and at the end
+        ref, start = [0] * 30, 0
+        for i in range(1, 31):
+            if i == 30 or bits[i]:
+                ref[i - start - 1] += 1
+                start = i
+        assert ct.counts == tuple(ref)
 
 
 def test_sampling_is_deterministic_per_stream():
-    theta = EwensParameter(1.0)
-    a = ewens.sample_feller_chain(100, theta, np.random.default_rng(9))
-    b = ewens.sample_feller_chain(100, theta, np.random.default_rng(9))
-    assert np.array_equal(a.bits, b.bits)
+    p = ewens.chain_probabilities(100, EwensParameter(1.0))
+    a = ewens.sample_feller_chain(p, np.random.default_rng(9))
+    b = ewens.sample_feller_chain(p, np.random.default_rng(9))
+    assert np.array_equal(a, b)
 
 
 def test_esf_probability_uniform_theta_one():
@@ -80,6 +90,8 @@ def test_exact_feller_distribution_sums_to_one():
 def test_exact_feller_distribution_size_limit():
     with pytest.raises(SizeLimitError):
         ewens.exact_feller_distribution(17, EwensParameter(1.0))
+    with pytest.raises(ValueError, match="1 <= n <= 16"):
+        ewens.exact_feller_distribution(0, EwensParameter(1.0))
 
 
 def test_psi_n_known_values():
@@ -130,16 +142,14 @@ def test_crp_matches_esf_frequencies():
 
 
 def test_poisson_counts_horizon_guard():
-    chain = BernoulliChain(10, np.ones(10, dtype=np.int8))
     with pytest.raises(HorizonTooSmallError):
-        ewens.poisson_counts_from_chain(chain, m_max=6)
+        ewens.poisson_counts_from_chain(np.ones(10, dtype=bool), m_max=6)
 
 
 def test_poisson_counts_drops_boundary_spacing():
     # chain 1 0 0 1: one 3-spacing inside; no appended boundary 1
-    bits = np.array([1, 0, 0, 1, 1, 0], dtype=np.int8)
-    pc = ewens.poisson_counts_from_chain(BernoulliChain(6, bits), m_max=3)
-    assert pc.counts == (1, 0, 1)
+    bits = np.array([1, 0, 0, 1, 1, 0], dtype=bool)
+    assert ewens.poisson_counts_from_chain(bits, m_max=3) == (1, 0, 1)
 
 
 def test_feller_coupling_gap_shrinks_with_n():

@@ -73,7 +73,8 @@ def test_validate_config_rejects_bad_inputs():
                 dict(theta="1"), dict(num_samples=0), dict(num_samples=2.5),
                 dict(kind="multipoint"), dict(points=0.3), dict(points=(float("nan"),)),
                 dict(points=("0.3",)), dict(master_seed=1.5), dict(master_seed=-1),
-                dict(model_spec=["uniform"])):
+                dict(model_spec=["uniform"]), dict(function_labels=[1]),
+                dict(function_labels="charpoly")):
         cfg = dict(n=10, theta=1.0, points=(0.1,), num_samples=5) | bad
         with pytest.raises(mc.RegimeViolationError):
             mc.validate_config(mc.ExperimentConfig(**cfg))
@@ -109,6 +110,11 @@ def test_model_from_spec_variants():
     assert f.coeffs[1] == 0.3
     with pytest.raises(mc.RegimeViolationError):
         mc.model_from_spec({"type": "nope"})
+    g = mc.model_from_spec({"type": "fourier", "coeffs": {"1": [0.2, 0.1], "-1": [0.2, -0.1]}})
+    assert g.coeffs[1] == complex(0.2, 0.1)
+    for coeffs in ([0.3], {"1": [0.3]}, {"1": "0.3"}, {"1": [0.3, float("nan")]}, None):
+        with pytest.raises(mc.RegimeViolationError):
+            mc.model_from_spec({"type": "fourier", "coeffs": coeffs})
 
 
 def test_singular_counter_zero_in_regular_regime():
