@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+
+_lgamma = np.vectorize(math.lgamma, otypes=[float])
 
 
 class InvalidCycleTypeError(ValueError):
@@ -169,10 +170,10 @@ def esf_probability(ct: CycleType, theta: EwensParameter) -> float:
     """
     t = theta.theta
     n = ct.n
-    log_p = gammaln(n + 1) + gammaln(t) - gammaln(t + n)
+    log_p = math.lgamma(n + 1) + math.lgamma(t) - math.lgamma(t + n)
     for m, c in ct.nonzero():
-        log_p += c * math.log(t / m) - gammaln(c + 1)
-    return float(math.exp(log_p))
+        log_p += c * math.log(t / m) - math.lgamma(c + 1)
+    return math.exp(log_p)
 
 
 def exact_feller_distribution(n: int, theta: EwensParameter) -> dict[CycleType, float]:
@@ -201,7 +202,7 @@ def psi_n(n: int, m, theta: EwensParameter):
     if np.any((m < 1) | (m > n)):
         raise ValueError("need 1 <= m <= n")
     t = theta.theta
-    psi = np.exp(gammaln(n - m + t) - gammaln(n - m + 1) + gammaln(n + 1) - gammaln(n + t))
+    psi = np.exp(_lgamma(n - m + t) - _lgamma(n - m + 1) + math.lgamma(n + 1) - math.lgamma(n + t))
     return float(psi) if psi.ndim == 0 else psi
 
 

@@ -13,7 +13,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import classfuncs, limits
 from .equidist import finite_type_estimate
@@ -23,6 +22,7 @@ from .multipliers import (DiscreteRoots, FourierDensity, MultiplierModel, Trivia
 _KINDS = ("logZ", "w1", "w2", "total-cycles")
 _CENTERINGS = ("theoretical", "empirical", "none")
 _SINGULAR_CAP = 0.001
+_erfc = np.vectorize(math.erfc, otypes=[float])
 
 
 class RegimeViolationError(ValueError):
@@ -48,9 +48,10 @@ class ExperimentResult:
     samples: np.ndarray          # (num_samples, 2d) normalized statistics
     raw_mean: np.ndarray         # (2d,) mean before centering/normalization
     mean: np.ndarray             # (2d,)
-    var: np.ndarray              # (2d,)
-    cov: np.ndarray              # (2d, 2d) empirical covariance
-    ks: np.ndarray               # (2d,) KS distance to N(0,1) per coordinate
+    # var, cov and ks are None for a one-sample run: there is no spread to report
+    var: np.ndarray | None       # (2d,)
+    cov: np.ndarray | None       # (2d, 2d) empirical covariance
+    ks: np.ndarray | None        # (2d,) KS distance to N(0,1) per coordinate
     singular_rejections: int
     wall_time: float
 
@@ -64,13 +65,17 @@ class ExperimentResult:
             "master_seed": self.config.master_seed,
             "raw_mean": self.raw_mean.tolist(),
             "mean": self.mean.tolist(),
-            "var": self.var.tolist(),
-            "cov": self.cov.tolist(),
-            "ks": self.ks.tolist(),
+            "var": _tolist(self.var),
+            "cov": _tolist(self.cov),
+            "ks": _tolist(self.ks),
             # wall_time intentionally omitted: the JSON form must be a pure
             # function of the config so reruns are byte-identical
             "singular_rejections": self.singular_rejections,
         }
+
+
+def _tolist(a: np.ndarray | None) -> list | None:
+    return None if a is None else a.tolist()
 
 
 def model_from_spec(spec: dict) -> MultiplierModel:
@@ -86,10 +91,10 @@ def model_from_spec(spec: dict) -> MultiplierModel:
             raise RegimeViolationError(f"fourier coeffs must be an object, got {coeffs!r}")
         return FourierDensity({int(j): _coefficient(c) for j, c in coeffs.items()})
     if kind == "discrete":
-        rho = int(spec["rho"])
-        if "probs" in spec:
-            return DiscreteRoots(rho, probs=np.asarray(spec["probs"], dtype=float))
-        return DiscreteRoots(rho, coeffs=np.asarray(spec["coeffs"], dtype=complex))
+        rho = spec.get("rho")
+        if not (_is_int(rho) and rho >= 1):
+            raise RegimeViolationError(f"discrete rho must be an integer >= 1, got {rho!r}")
+        return DiscreteRoots(rho, probs=spec.get("probs"), coeffs=spec.get("coeffs"))
     raise RegimeViolationError(f"unknown model type {spec.get('type')!r}")
 
 
@@ -113,7 +118,7 @@ def ks_statistic(samples: np.ndarray) -> float:
     n = len(s)
     if n < 2:
         raise ValueError("need at least 2 samples")
-    cdf = ndtr(s)
+    cdf = 0.5 * _erfc(-s / math.sqrt(2))  # standard normal CDF
     i = np.arange(1, n + 1)
     return float(max((i / n - cdf).max(), (cdf - (i - 1) / n).max()))
 
@@ -242,10 +247,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     raw_mean = raw.mean(axis=0)
     samples = _normalize(cfg, fs, raw)
     mean = samples.mean(axis=0)
-    var = samples.var(axis=0, ddof=1) if cfg.num_samples > 1 else np.zeros(width)
-    cov = empirical_cov(samples) if cfg.num_samples > 1 else np.zeros((width, width))
-    ks = (np.array([ks_statistic(samples[:, j]) for j in range(width)])
-          if cfg.num_samples > 1 else np.zeros(width))
+    var = cov = ks = None
+    if cfg.num_samples > 1:
+        var = samples.var(axis=0, ddof=1)
+        cov = empirical_cov(samples)
+        ks = np.array([ks_statistic(samples[:, j]) for j in range(width)])
     return ExperimentResult(config=cfg, samples=samples, raw_mean=raw_mean,
                             mean=mean, var=var, cov=cov, ks=ks,
                             singular_rejections=rejections,

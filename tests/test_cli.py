@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -204,11 +207,31 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
             (dict(function_labels=[1]), "function_labels"),
             (dict(function_labels="charpoly"), "function_labels"),
             (dict(model_spec={"type": "fourier", "coeffs": [0.3]}), "coeffs"),
-            (dict(model_spec={"type": "fourier", "coeffs": {"1": [0.3]}}), "coefficient")):
+            (dict(model_spec={"type": "fourier", "coeffs": {"1": [0.3]}}), "coefficient"),
+            (dict(model_spec={"type": "discrete", "rho": 2.5, "probs": [0.5, 0.5]}), "rho"),
+            (dict(model_spec={"type": "discrete", "rho": 2}), "probs or coeffs")):
         rejected(["clt", "--config", _clt_config(tmp_path, **overrides)], message)
     # H = 0 is a value, not "no H given"
     rejected(["discrepancy", "--kronecker", "0.414", "--n", "100", "--etk-H", "0"], "H must be")
     rejected(["feller-check", "--n", "0", "--theta", "1"], "1 <= n <= 16")
+
+
+def test_clt_single_sample_reports_no_spread(tmp_path, capsys):
+    # one sample has no variance, covariance or KS distance: null, not 0
+    code, out, _ = run(capsys, ["clt", "--config", _clt_config(tmp_path, n=100, num_samples=1)])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["var"] is None and payload["cov"] is None and payload["ks"] is None
+    assert len(payload["mean"]) == 2
+
+
+def test_cli_import_does_not_load_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = os.environ | {"PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c",
+                          "import sys, permchar.cli; print('scipy' in sys.modules)"],
+                         env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 def test_version_matches_pyproject():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from permchar import ewens
 from permchar.ewens import (CycleType, EwensParameter, HorizonTooSmallError,
@@ -81,6 +82,18 @@ def test_esf_probability_uniform_theta_one():
     assert ewens.esf_probability(ct, EwensParameter(1.0)) == pytest.approx(1 / 4)
 
 
+def test_esf_probability_matches_gammaln_reference():
+    # every cycle type of n <= 8 (the enumerated chain law reaches them all)
+    for theta in (0.5, 1.0, 2.7):
+        t = EwensParameter(theta)
+        for n in range(1, 9):
+            for ct in ewens.exact_feller_distribution(n, t):
+                log_p = gammaln(n + 1) + gammaln(theta) - gammaln(theta + n)
+                for m, c in ct.nonzero():
+                    log_p += c * math.log(theta / m) - gammaln(c + 1)
+                assert ewens.esf_probability(ct, t) == pytest.approx(math.exp(log_p), rel=1e-12)
+
+
 def test_exact_feller_distribution_sums_to_one():
     for theta in (0.5, 1.0, 2.0):
         dist = ewens.exact_feller_distribution(7, EwensParameter(theta))
@@ -114,6 +127,17 @@ def test_psi_n_vector_matches_scalar():
         assert vec[m - 1] == pytest.approx(want, rel=1e-10)
     with pytest.raises(ValueError):
         ewens.psi_n(50, np.array([0, 3]), theta)
+
+
+def test_psi_n_matches_gammaln_reference():
+    # both forms lose about 7e-11 to cancellation at n = 10^4
+    for theta in (0.5, 2.7):
+        for n in (10, 10 ** 3, 10 ** 4):
+            m = np.arange(1, n + 1)
+            want = np.exp(gammaln(n - m + theta) - gammaln(n - m + 1)
+                          + gammaln(n + 1) - gammaln(n + theta))
+            got = ewens.psi_n(n, m, EwensParameter(theta))
+            assert np.allclose(got, want, rtol=1e-9, atol=0)
 
 
 def test_crp_permutation_is_valid_and_deterministic():

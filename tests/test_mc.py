@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from permchar import mc
 
@@ -28,6 +29,18 @@ def test_ks_statistic_known_values():
     assert mc.ks_statistic(g) <= 1.63 / math.sqrt(10 ** 4)
     with pytest.raises(ValueError):
         mc.ks_statistic(np.array([1.0]))
+
+
+def test_ks_statistic_matches_ndtr():
+    rng = np.random.default_rng(3)
+    normal = rng.standard_normal(2000)
+    # entries beyond +-10, where the normal CDF saturates at 0 and 1
+    wide = np.concatenate([normal[:500], [-40.0, -12.5, -10.0, 10.0, 12.5, 40.0]])
+    for x in (normal, rng.random(1000), normal + 0.3, 2.0 * normal - 1.0, wide):
+        s = np.sort(x)
+        i = np.arange(1, len(s) + 1)
+        want = max((i / len(s) - ndtr(s)).max(), (ndtr(s) - (i - 1) / len(s)).max())
+        assert abs(mc.ks_statistic(x) - want) <= 1e-15
 
 
 def test_empirical_cov_identical_columns():
@@ -115,6 +128,12 @@ def test_model_from_spec_variants():
     for coeffs in ([0.3], {"1": [0.3]}, {"1": "0.3"}, {"1": [0.3, float("nan")]}, None):
         with pytest.raises(mc.RegimeViolationError):
             mc.model_from_spec({"type": "fourier", "coeffs": coeffs})
+    assert mc.model_from_spec({"type": "discrete", "rho": 2, "coeffs": [1.0, 0.5]}).rho == 2
+    for rho in (2.5, 2.0, "2", True, 0, None):
+        with pytest.raises(mc.RegimeViolationError, match="rho"):
+            mc.model_from_spec({"type": "discrete", "rho": rho, "probs": [0.5, 0.5]})
+    with pytest.raises(ValueError, match="probs or coeffs"):
+        mc.model_from_spec({"type": "discrete", "rho": 2})
 
 
 def test_singular_counter_zero_in_regular_regime():
