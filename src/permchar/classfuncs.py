@@ -67,7 +67,11 @@ def constant(c: float) -> SpectralFunction:
 def spectral_function_by_label(label: str) -> SpectralFunction:
     table = {"charpoly": char_poly, "sympart": sym_part, "antisympart": antisym_part}
     if label.startswith("const:"):
-        return constant(float(label.split(":", 1)[1]))
+        c = float(label.split(":", 1)[1])
+        # log 0 and log of inf/nan have no finite limit constants
+        if not math.isfinite(c) or c == 0:
+            raise ValueError(f"{label!r}: the constant must be finite and nonzero")
+        return constant(c)
     if label not in table:
         raise KeyError(f"unknown spectral function {label!r}")
     return table[label]()
@@ -76,17 +80,19 @@ def spectral_function_by_label(label: str) -> SpectralFunction:
 def log_sums(fs: list[SpectralFunction], points, lengths, angles) -> np.ndarray:
     """Branch-log sums of d class-function coordinates over the cycles of one sample.
 
-    Coordinate j is sum_k log f_j(e^{2 pi i (angles[., k] + lengths[k] x_j)}),
+    Coordinate j is sum_k log f_j(e^{2 pi i (angles[k] + lengths[k] x_j)}),
     returned as (re_1..re_d, im_1..im_d).  `angles` holds one multiplier
-    angle per cycle: shape (K,) when every point reads the same draw (one
-    matrix), or (d, K) for per-coordinate joint draws.  log Z is the case
-    f = char_poly() with the product angles negated (T -> T^{-1}).
+    angle per cycle, shape (K,) like `lengths`: every point reads the same
+    draw (one matrix).  log Z is the case f = char_poly() with the product
+    angles negated (T -> T^{-1}).
     """
     points = np.asarray(points, dtype=float)
     angles = np.asarray(angles, dtype=float)
-    d = len(points)
-    if len(fs) != d or (angles.ndim == 2 and angles.shape[0] != d):
-        raise ValueError("points, functions and angle rows must agree on d")
+    lengths = np.asarray(lengths)
+    if len(fs) != len(points):
+        raise ValueError("points and functions must agree on d")
+    if angles.ndim != 1 or angles.shape != lengths.shape:
+        raise ValueError(f"angles must have the shape {lengths.shape} of lengths, got {angles.shape}")
     phi = np.mod(angles + np.outer(points, lengths), 1.0)
     vals = np.empty(phi.shape, dtype=complex)
     # one evaluation per distinct function, not per point

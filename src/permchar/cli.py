@@ -70,8 +70,13 @@ def cmd_sample(args) -> int:
 
 
 def _load_experiment_config(args) -> mc.ExperimentConfig:
-    with open(args.config) as fh:
-        raw = json.load(fh)
+    try:
+        with open(args.config) as fh:
+            raw = json.load(fh)
+    except OSError as exc:  # a missing file, a directory, no permission
+        raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
     if raw.get("version") != CONFIG_VERSION:
         raise ConfigError(f"config version must be {CONFIG_VERSION}")
     fields = {"n", "theta", "points", "kind", "function_labels", "model_spec",
@@ -109,6 +114,8 @@ def cmd_discrepancy(args) -> int:
     phis = tuple(args.kronecker)
     if not 1 <= len(phis) <= 2:
         raise ConfigError("give one or two Kronecker angles")
+    if not all(map(math.isfinite, phis)):
+        raise ConfigError(f"Kronecker angles must be finite, got {list(phis)}")
     phi_arg = phis[0] if len(phis) == 1 else phis
     seq = equidist.kronecker(phi_arg, args.n)
     exact = equidist.star_discrepancy_exact(seq)

@@ -163,88 +163,15 @@ def covariance_matrix(fs: list[SpectralFunction], theta: float) -> CovarianceSpe
     return CovarianceSpec(d=d, re_re=re_re, re_im=re_im, im_im=im_im)
 
 
-@dataclass(frozen=True)
-class StatisticSpec:
-    """Per-cycle-length statistic X_{m,1} through its moment evaluators.
-
-    second_moment(m) = E[X_{m,1}^2]; abs_moment(m, p) = E[|X_{m,1}|^p].
-    """
-
-    description: str
-    second_moment: Callable[[int], float]
-    abs_moment: Callable[[int, float], float]
-
-
-def degenerate_statistic(a: float = 1.0) -> StatisticSpec:
-    """X identically equal to a."""
-    return StatisticSpec(description=f"constant {a}",
-                         second_moment=lambda m: a * a,
-                         abs_moment=lambda m, p: abs(a) ** p)
-
-
-def charpoly_uniform_statistic() -> StatisticSpec:
-    """X_{m,1} = log|1 - e^{2 pi i U}| with U uniform: moments independent of m."""
-    h = lambda phi: np.log(np.abs(1.0 - np.exp(2j * np.pi * phi)))
-    cache: dict[float, float] = {}
-
-    def moment(p: float) -> float:
-        if p not in cache:
-            cache[p] = singular_quadrature(lambda t: np.abs(h(t)) ** p, (0.0,), 1e-9)
-        return cache[p]
-
-    return StatisticSpec(description="Re log Z term, uniform multiplier",
-                         second_moment=lambda m: moment(2.0),
-                         abs_moment=lambda m, p: moment(p))
-
-
-def v_n(spec: StatisticSpec, n: int) -> float:
-    """V_n = sum_{m=1}^n E[X_{m,1}^2] / m."""
-    return math.fsum(spec.second_moment(m) / m for m in range(1, n + 1))
-
-
-@dataclass(frozen=True)
-class LyapunovReport:
-    theta: float
-    p: float
-    n_grid: tuple[int, ...]
-    ratios: tuple[float, ...]
-    p_admissible: bool
-    decreasing: bool
-
-
-def lyapunov_check(spec: StatisticSpec, theta: float, p: float,
-                   n_grid: tuple[int, ...] = (100, 1000, 10000)) -> LyapunovReport:
-    """Tabulate sum (1/m) E|X|^p / V_n^{p/2} over a grid of n.
-
-    The CLT hypotheses need p > max(1/theta, 2) and the ratio to vanish;
-    the report flags an inadmissible p and non-decreasing ratios.
-    """
-    admissible = p > max(1.0 / theta, 2.0)
-    ratios = []
-    for n in n_grid:
-        num = math.fsum(spec.abs_moment(m, p) / m for m in range(1, n + 1))
-        vn = v_n(spec, n)
-        ratios.append(num / vn ** (p / 2.0) if vn > 0 else math.inf)
-    decreasing = all(b < a for a, b in zip(ratios, ratios[1:]))
-    return LyapunovReport(theta=theta, p=p, n_grid=tuple(n_grid),
-                          ratios=tuple(ratios), p_admissible=admissible,
-                          decreasing=decreasing)
-
-
-def normalization(n: int, theta: float, f: SpectralFunction,
-                  part: str = "re", constants: LimitConstants | None = None) -> float:
-    """Scale factor sqrt(theta * V * log n), V = V_R or V_I by part."""
+def normalization(n: int, theta: float, V: float) -> float:
+    """Scale factor sqrt(theta * V * log n) for a variance constant V (V_R or V_I)."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    c = constants if constants is not None else limit_constants(f)
-    V = c.V_R if part == "re" else c.V_I
     return math.sqrt(theta * V * math.log(n))
 
 
-def centering(n: int, theta: float, f: SpectralFunction,
-              constants: LimitConstants | None = None) -> complex:
+def centering(n: int, theta: float, constants: LimitConstants) -> complex:
     """theta * (m_R + i m_I) * log n, the pre-normalization centering."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    c = constants if constants is not None else limit_constants(f)
-    return theta * complex(c.m_R, c.m_I) * math.log(n)
+    return theta * complex(constants.m_R, constants.m_I) * math.log(n)

@@ -266,14 +266,14 @@ def _normalize(cfg: ExperimentConfig, fs, raw: np.ndarray) -> np.ndarray:
     for j, f in enumerate(fs):
         consts = limits.limit_constants(f)
         if cfg.centering == "theoretical":
-            c = limits.centering(cfg.n, cfg.theta, f, consts)
+            c = limits.centering(cfg.n, cfg.theta, consts)
             out[:, j] -= c.real
             out[:, d + j] -= c.imag
         elif cfg.centering == "empirical":
             out[:, j] -= raw[:, j].mean()
             out[:, d + j] -= raw[:, d + j].mean()
         # a coordinate with zero limit variance (const:c) is left unscaled, not 0/0
-        for col, part, V in ((j, "re", consts.V_R), (d + j, "im", consts.V_I)):
+        for col, V in ((j, consts.V_R), (d + j, consts.V_I)):
             if V > 0:
-                out[:, col] /= limits.normalization(cfg.n, cfg.theta, f, part, consts)
+                out[:, col] /= limits.normalization(cfg.n, cfg.theta, V)
     return out

@@ -5,7 +5,7 @@ supported: trivial (z = 1), uniform, absolutely continuous with a finite
 Fourier expansion, and discrete supported on the rho-th roots of unity.
 An m-cycle enters det(I - x^{-1} M) only through the product T_m of its
 m multipliers, so every model has one sampler, sample_T(m, stream, size);
-a single z is T_1.  Joint d-point variants return shape (d, size).
+a single z is T_1.
 """
 
 from __future__ import annotations
@@ -22,12 +22,12 @@ class InvalidCoefficientsError(ValueError):
 
 
 def _probs_from_coeffs(coeffs: np.ndarray) -> np.ndarray:
-    """Probability table whose DFT is `coeffs` (1-D or 2-D), by inverse DFT.
+    """Probability table whose DFT is `coeffs`, by inverse DFT.
 
     The table sums to the real part of the zeroth coefficient, which the
     callers pin to 1; only rounding-level negatives are tolerated.
     """
-    probs = np.fft.ifftn(coeffs).real
+    probs = np.fft.ifft(coeffs).real
     if probs.min() < -1e-12:
         raise InvalidCoefficientsError(f"negative probability {probs.min()}")
     return np.clip(probs, 0.0, None)
@@ -124,29 +124,12 @@ def convolved_density_coeffs(model: FourierDensity, m: int) -> dict[int, complex
     return {j: c ** m for j, c in model.coeffs.items()}
 
 
-class _DiscreteProductLaw:
-    """Discrete law on roots of unity given by its DFT coefficients `coeffs`.
-
-    T_m has coefficients coeffs**m, so its probability table is their
-    inverse DFT.  Tables are cached per m, starting from the law of z.
-    """
-
-    def __init__(self, coeffs: np.ndarray, probs: np.ndarray):
-        self.coeffs = coeffs
-        self._laws = {1: probs}
-
-    def product_probs(self, m: int) -> np.ndarray:
-        """Law of T_m via c -> c^m."""
-        if m not in self._laws:
-            self._laws[m] = _probs_from_coeffs(self.coeffs ** m)
-        return self._laws[m]
-
-
-class DiscreteRoots(_DiscreteProductLaw):
+class DiscreteRoots:
     """Discrete z on the rho-th roots of unity.
 
     Construct either from probabilities or from Fourier coefficients
-    (see discrete_probs_from_fourier).
+    (see discrete_probs_from_fourier).  T_m has coefficients coeffs**m, so
+    its probability table is their inverse DFT; tables are cached per m.
     """
 
     def __init__(self, rho: int, probs: np.ndarray | None = None,
@@ -162,7 +145,14 @@ class DiscreteRoots(_DiscreteProductLaw):
         if len(probs) != rho or probs.min() < 0 or abs(probs.sum() - 1.0) > 1e-12:
             raise InvalidCoefficientsError("invalid probability vector")
         self.probs = probs
-        super().__init__(fourier_coeffs_from_probs(probs), probs)
+        self.coeffs = fourier_coeffs_from_probs(probs)
+        self._laws = {1: probs}
+
+    def product_probs(self, m: int) -> np.ndarray:
+        """Law of T_m via c -> c^m."""
+        if m not in self._laws:
+            self._laws[m] = _probs_from_coeffs(self.coeffs ** m)
+        return self._laws[m]
 
     def sample_T(self, m: int, stream: np.random.Generator, size: int) -> np.ndarray:
         k = stream.choice(self.rho, size=size, p=self.product_probs(m))
@@ -171,56 +161,3 @@ class DiscreteRoots(_DiscreteProductLaw):
 
 MultiplierModel = Trivial | Uniform | FourierDensity | DiscreteRoots
 
-
-class IndependentProduct:
-    """Joint model with independent coordinates."""
-
-    def __init__(self, models: list[MultiplierModel]):
-        if not models:
-            raise ValueError("need at least one model")
-        self.models = list(models)
-        self.d = len(models)
-
-    def sample_T(self, m: int, stream: np.random.Generator, size: int) -> np.ndarray:
-        """(d, size) angles; row j holds draws of T_m under models[j]."""
-        return np.stack([model.sample_T(m, stream, size) for model in self.models])
-
-
-class PairwiseFourier(_DiscreteProductLaw):
-    """Joint discrete law for d = 2 from a pairwise coefficient table.
-
-    The joint pmf on pairs of roots of unity is the 2-D inverse DFT of
-    c_{a,b}; row and column sums of |c| (excluding index 0) must stay
-    below 1 so the product coefficients c_{a,b}^m decay.
-    """
-
-    def __init__(self, rho: tuple[int, int], coeff_table: np.ndarray):
-        self.rho = tuple(rho)
-        if len(self.rho) != 2:
-            raise ValueError("pairwise tables support d = 2 only")
-        c = np.asarray(coeff_table, dtype=complex)
-        if c.shape != self.rho:
-            raise InvalidCoefficientsError("coefficient table shape must be (rho_1, rho_2)")
-        if abs(c[0, 0] - 1.0) > 1e-12:
-            raise InvalidCoefficientsError("c_{0,0} must equal 1")
-        absc = np.abs(c)
-        for b in range(1, self.rho[1]):
-            if absc[:, b].sum() >= 1.0:
-                raise InvalidCoefficientsError(f"column sum of |c| at b={b} must be < 1")
-        for a in range(1, self.rho[0]):
-            if absc[a, :].sum() >= 1.0:
-                raise InvalidCoefficientsError(f"row sum of |c| at a={a} must be < 1")
-        self.joint_probs = _probs_from_coeffs(c)
-        super().__init__(c, self.joint_probs)
-        self.d = 2
-
-    def marginal(self, j: int) -> DiscreteRoots:
-        probs = self.joint_probs.sum(axis=1 - j)
-        return DiscreteRoots(self.rho[j], probs=probs)
-
-    def sample_T(self, m: int, stream: np.random.Generator, size: int) -> np.ndarray:
-        """(2, size) angles: each column is one joint draw of both coordinates' T_m."""
-        r1, r2 = self.rho
-        flat = stream.choice(r1 * r2, size=size, p=self.product_probs(m).ravel())
-        k1, k2 = np.divmod(flat, r2)
-        return np.stack([k1 / r1, k2 / r2])

@@ -6,7 +6,7 @@ import pytest
 
 from permchar import classfuncs as cf
 from permchar.ewens import CycleType, EwensParameter, Permutation, sample_permutation_crp
-from permchar.multipliers import IndependentProduct, Uniform
+from permchar.multipliers import Uniform
 
 
 def all_permutations(n):
@@ -56,6 +56,10 @@ def test_spectral_function_by_label():
     assert cf.spectral_function_by_label("const:2.0").on_circle(np.array([0.3]))[0] == 2.0
     with pytest.raises(KeyError):
         cf.spectral_function_by_label("nope")
+    # log 0 and non-finite constants have no finite limit constants
+    for label in ("const:0", "const:nan", "const:inf"):
+        with pytest.raises(ValueError, match=label):
+            cf.spectral_function_by_label(label)
 
 
 def test_log_Z_trivial_matches_deterministic_product():
@@ -76,7 +80,7 @@ def test_multipoint_logZ_trivial_matches_deterministic():
     ct = CycleType(5, (1, 2, 0, 0, 0))
     lengths = np.repeat([m for m, _ in ct.nonzero()], [c for _, c in ct.nonzero()])
     points = [0.21, 0.77]
-    got = cf.log_sums([cf.char_poly()] * 2, points, lengths, np.zeros((2, len(lengths))))
+    got = cf.log_sums([cf.char_poly()] * 2, points, lengths, np.zeros(len(lengths)))
     for j, x in enumerate(points):
         want = 0.0 + 0.0j
         for m, c in ct.nonzero():
@@ -156,23 +160,22 @@ def test_antisym_eigen_product_matches_dense_det():
 
 
 def test_multipoint_w_shapes_and_determinism():
-    # (d, K) joint draws: coordinate j reads row j, as a d = 1 call on that row would
-    joint = IndependentProduct([Uniform(), Uniform()])
+    # one shared (K,) draw: coordinate j of a d = 2 call equals a d = 1 call at point j
     lengths = [1, 2, 2]
     fs = [cf.char_poly(), cf.sym_part()]
     points = [0.21, 0.77]
 
     def draw(seed):
         rng = np.random.default_rng(seed)
-        return np.concatenate([joint.sample_T(m, rng, 1) for m in lengths], axis=1)
+        return np.concatenate([Uniform().sample_T(m, rng, 1) for m in lengths])
 
     angles = draw(1)
-    assert angles.shape == (2, 3)
+    assert angles.shape == (3,)
     assert np.array_equal(angles, draw(1))
     vals = cf.log_sums(fs, points, lengths, angles)
     assert vals.shape == (4,)
     for j in range(2):
-        one = cf.log_sums([fs[j]], [points[j]], lengths, angles[j])
+        one = cf.log_sums([fs[j]], [points[j]], lengths, angles)
         assert vals[j] == pytest.approx(one[0]) and vals[2 + j] == pytest.approx(one[1])
 
 
@@ -181,6 +184,9 @@ def test_multipoint_dimension_mismatch():
         cf.log_sums([cf.char_poly()], [0.1, 0.2], [1], [0.0])
     with pytest.raises(ValueError):
         cf.log_sums([cf.char_poly()] * 2, [0.1, 0.2], [1], np.zeros((3, 1)))
+    # a (d, K) array is refused, never broadcast against the points
+    with pytest.raises(ValueError):
+        cf.log_sums([cf.char_poly()] * 2, [0.1, 0.2], [1, 2], np.zeros((2, 2)))
 
 
 def test_permutation_matrix_structure():

@@ -209,10 +209,21 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
             (dict(model_spec={"type": "fourier", "coeffs": [0.3]}), "coeffs"),
             (dict(model_spec={"type": "fourier", "coeffs": {"1": [0.3]}}), "coefficient"),
             (dict(model_spec={"type": "discrete", "rho": 2.5, "probs": [0.5, 0.5]}), "rho"),
-            (dict(model_spec={"type": "discrete", "rho": 2}), "probs or coeffs")):
+            (dict(model_spec={"type": "discrete", "rho": 2}), "probs or coeffs"),
+            (dict(function_labels=["const:nan"]), "const:nan")):
         rejected(["clt", "--config", _clt_config(tmp_path, **overrides)], message)
+    # a config that is not a JSON object, or cannot be read at all
+    for text in ("[1, 2]", '"x"'):
+        path = tmp_path / "raw.json"
+        path.write_text(text)
+        rejected(["clt", "--config", str(path)], "JSON object")
+    rejected(["clt", "--config", str(tmp_path)], "cannot read config")
+    for label in ("const:0", "const:nan", "const:inf"):
+        rejected(["constants", "--function", label], label)
     # H = 0 is a value, not "no H given"
     rejected(["discrepancy", "--kronecker", "0.414", "--n", "100", "--etk-H", "0"], "H must be")
+    rejected(["discrepancy", "--kronecker", "nan", "--n", "10"], "finite")
+    rejected(["discrepancy", "--kronecker", "inf", "--n", "10", "--etk-H", "3"], "finite")
     rejected(["feller-check", "--n", "0", "--theta", "1"], "1 <= n <= 16")
 
 

@@ -61,32 +61,13 @@ def test_covariance_matrix_charpoly_two_points():
     assert np.abs(off).max() < 1e-6
 
 
-def test_v_n_degenerate():
-    spec = limits.degenerate_statistic(1.0)
-    assert limits.v_n(spec, 4) == pytest.approx(25 / 12)
-
-
-def test_v_n_charpoly_uniform_harmonic():
-    spec = limits.charpoly_uniform_statistic()
-    h10 = sum(1.0 / m for m in range(1, 11))
-    assert limits.v_n(spec, 10) == pytest.approx(PI2_12 * h10, rel=1e-8)
-
-
-def test_lyapunov_ratios_decrease():
-    spec = limits.charpoly_uniform_statistic()
-    rep = limits.lyapunov_check(spec, theta=1.0, p=3.0, n_grid=(100, 1000, 10000))
-    assert rep.p_admissible
-    assert rep.decreasing
-    rep_bad = limits.lyapunov_check(spec, theta=0.25, p=3.0, n_grid=(10, 100))
-    assert not rep_bad.p_admissible  # needs p > 1/theta = 4
-
-
 def test_normalization_and_centering():
-    f = cf.char_poly()
-    c = limits.limit_constants(f)
-    norm = limits.normalization(10 ** 4, 1.0, f, "re", constants=c)
+    c = limits.limit_constants(cf.char_poly())
+    norm = limits.normalization(10 ** 4, 1.0, c.V_R)
     assert norm == pytest.approx(math.sqrt(PI2_12 * math.log(10 ** 4)), rel=1e-6)
-    cent = limits.centering(10 ** 4, 1.0, f, constants=c)
+    cent = limits.centering(10 ** 4, 1.0, c)
     assert abs(cent) < 1e-6
     with pytest.raises(ValueError):
-        limits.normalization(1, 1.0, f, constants=c)
+        limits.normalization(1, 1.0, c.V_R)
+    with pytest.raises(ValueError):
+        limits.centering(1, 1.0, c)

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from permchar import multipliers as mult
-from permchar.multipliers import (DiscreteRoots, FourierDensity,
-                                  IndependentProduct, InvalidCoefficientsError,
-                                  PairwiseFourier, Trivial, Uniform)
+from permchar.multipliers import (DiscreteRoots, FourierDensity, InvalidCoefficientsError,
+                                  Trivial, Uniform)
 
 
 def test_discrete_probs_roundtrip():
@@ -96,59 +95,11 @@ def test_discrete_roots_samples_on_lattice():
     assert set(np.round(z * 3).astype(int)) <= {0, 1, 2}
 
 
-def test_independent_product_shapes():
-    joint = IndependentProduct([Uniform(), Trivial()])
-    rng = np.random.default_rng(3)
-    draws = joint.sample_T(1, rng, 7)
-    assert draws.shape == (2, 7)
-    assert np.all(draws[1] == 0.0)
-
-
-def test_pairwise_fourier_marginals_and_sampling():
-    # independent table c_{a,b} = c_a * c_b recovers product probabilities
-    c1 = mult.fourier_coeffs_from_probs(np.array([0.6, 0.4]))
-    c2 = mult.fourier_coeffs_from_probs(np.array([0.7, 0.3]))
-    table = np.outer(c1, c2) * 0.0
-    table[0, 0] = 1.0
-    table[1, 0] = c1[1]
-    table[0, 1] = c2[1]
-    table[1, 1] = c1[1] * c2[1]
-    joint = PairwiseFourier((2, 2), table)
-    assert np.allclose(joint.joint_probs, np.outer([0.6, 0.4], [0.7, 0.3]), atol=1e-12)
-    assert np.allclose(joint.marginal(0).probs, [0.6, 0.4], atol=1e-12)
-
-    rng = np.random.default_rng(8)
-    z = joint.sample_T(1, rng, 40000)
-    assert (z[0] == 0).mean() == pytest.approx(0.6, abs=0.01)
-
-
-def test_pairwise_fourier_product_law():
-    table = np.array([[1.0, 0.3], [0.2, 0.1]])  # not a product of marginals
-    joint = PairwiseFourier((2, 2), table)
-    p = joint.joint_probs
-    # direct convolution oracle on Z/2 x Z/2
-    direct = np.zeros((2, 2))
-    for a1, a2, b1, b2 in np.ndindex(2, 2, 2, 2):
-        direct[(a1 + b1) % 2, (a2 + b2) % 2] += p[a1, a2] * p[b1, b2]
-    assert np.allclose(joint.product_probs(2), direct, atol=1e-12)
-
-
-def test_pairwise_fourier_validation():
-    bad = np.array([[1.0, 0.9], [0.9, 0.5]])
-    with pytest.raises(InvalidCoefficientsError):
-        PairwiseFourier((2, 2), bad)
-
-
 def test_sample_joint_cycle_shares_cycle_length():
-    joint = IndependentProduct([Uniform(), Uniform()])
     rng = np.random.default_rng(4)
-    z_bar, t_bar = joint.sample_T(1, rng, 1), joint.sample_T(5, rng, 1)
-    assert z_bar.shape == (2, 1) and t_bar.shape == (2, 1)
-    assert np.all((0 <= t_bar) & (t_bar < 1))
     # T_0 is the empty product, angle 0, for every law except the Fourier
     # one, whose c_j^0 = 1 are not the coefficients of a density
-    pair = PairwiseFourier((2, 2), np.array([[1.0, 0.3], [0.2, 0.1]]))
-    for model in (joint, pair, Trivial(), DiscreteRoots(3, probs=np.array([0.2, 0.5, 0.3]))):
+    for model in (Trivial(), Uniform(), DiscreteRoots(3, probs=np.array([0.2, 0.5, 0.3]))):
         assert np.all(model.sample_T(0, rng, 3) == 0.0)
     with pytest.raises(ValueError):
         FourierDensity({1: 0.4, -1: 0.4}).sample_T(0, rng, 1)
