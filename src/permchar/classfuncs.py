@@ -107,12 +107,7 @@ def log_sums(fs: list[SpectralFunction], points, lengths, angles) -> np.ndarray:
 
 def permutation_matrix(perm: Permutation, z_values: np.ndarray) -> np.ndarray:
     """M_ij = z_i * delta_{i, sigma(j)} as a dense complex matrix."""
-    n = perm.n
-    M = np.zeros((n, n), dtype=complex)
-    for j in range(1, n + 1):
-        i = perm.images[j - 1]
-        M[i - 1, j - 1] = z_values[i - 1]
-    return M
+    return np.where(perm.matrix, np.asarray(z_values, dtype=complex)[:, None], 0.0)
 
 
 def det_oracle(perm: Permutation, z_values: np.ndarray, x: float) -> complex:
@@ -141,11 +136,7 @@ def cycle_product(perm: Permutation, z_values: np.ndarray, x: float) -> complex:
 
 def sym_matrix(perm: Permutation) -> np.ndarray:
     """S_ij = delta_{i, sigma(j)} + delta_{i, sigma^{-1}(j)}."""
-    n = perm.n
-    S = np.zeros((n, n))
-    for j in range(1, n + 1):
-        S[perm.images[j - 1] - 1, j - 1] += 1.0
-    return S + S.T
+    return perm.matrix + perm.matrix.T
 
 
 def sym_char_poly(perm: Permutation, x_real: float) -> float:
@@ -171,16 +162,13 @@ def sym_char_poly_matrix(perm: Permutation, x_real: float) -> float:
     if perm.n > _DET_SIZE_LIMIT:
         raise ValueError(f"dense determinant limited to n <= {_DET_SIZE_LIMIT}")
     S = sym_matrix(perm)
-    return float(np.linalg.det(S - x_real * np.eye(perm.n)))
+    S.flat[::perm.n + 1] -= x_real  # S - x I
+    return float(np.linalg.det(S))
 
 
 def antisym_matrix(perm: Permutation) -> np.ndarray:
     """2A = M - M^T for the plain permutation matrix M(sigma, 1)."""
-    n = perm.n
-    M = np.zeros((n, n))
-    for j in range(1, n + 1):
-        M[perm.images[j - 1] - 1, j - 1] = 1.0
-    return M - M.T
+    return perm.matrix - perm.matrix.T
 
 
 def antisym_char_poly_matrix(perm: Permutation, x_real: float) -> float:

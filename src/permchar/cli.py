@@ -7,7 +7,9 @@ Exit codes: 0 success, 1 runtime failure, 2 config/usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import itertools
 import json
 import math
 import os
@@ -32,13 +34,29 @@ def _default_seed() -> int:
         raise ConfigError(f"PERMCHAR_SEED must be an integer, got {raw!r}") from None
 
 
+@contextlib.contextmanager
+def _output(path: str | None, newline: str | None = None):
+    """Yield `path` opened for writing (a config error if it cannot be),
+    or stdout when no path is given."""
+    if not path:
+        yield sys.stdout
+        return
+    try:
+        fh = open(path, "w", newline=newline)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path!r}: {exc}") from exc
+    with fh:
+        yield fh
+
+
 def _emit(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    # Streamed, never built as one string; written in batches because each
+    # write is a system call when stdout is unbuffered.
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+    with _output(out_path) as fh:
+        while batch := "".join(itertools.islice(chunks, 16384)):
+            fh.write(batch)
+        fh.write("\n")
 
 
 def cmd_sample(args) -> int:
@@ -52,17 +70,13 @@ def cmd_sample(args) -> int:
         rows.append({"sample_index": i, "cycle_counts": list(ct.counts),
                      "total_cycles": ct.total_cycles})
     if args.format == "csv":
-        fh = open(args.output, "w", newline="") if args.output else sys.stdout
-        try:
+        with _output(args.output, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["sample_index", "cycle_length", "count"])
             for row in rows:
                 for m, c in enumerate(row["cycle_counts"], start=1):
                     if c:
                         writer.writerow([row["sample_index"], m, c])
-        finally:
-            if fh is not sys.stdout:
-                fh.close()
     else:
         _emit({"version": CONFIG_VERSION, "n": args.n, "theta": args.theta,
                "seed": args.seed, "samples": rows}, args.output)
@@ -98,15 +112,16 @@ def _load_experiment_config(args) -> mc.ExperimentConfig:
 def cmd_clt(args) -> int:
     cfg = _load_experiment_config(args)
     result = mc.run_experiment(cfg)
-    _emit({"version": CONFIG_VERSION, **result.to_dict()}, args.output)
+    # the dump first: a dump path that cannot be written prints no result
     if args.dump_samples:
         d = max(1, len(cfg.points)) if cfg.kind != "total-cycles" else 1
-        with open(args.dump_samples, "w", newline="") as fh:
+        with _output(args.dump_samples, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["sample_index", "point_index", "re", "im"])
             for i, row in enumerate(result.samples):
                 for j in range(d):
                     writer.writerow([i, j, repr(float(row[j])), repr(float(row[d + j]))])
+    _emit({"version": CONFIG_VERSION, **result.to_dict()}, args.output)
     return 0
 
 
@@ -197,7 +212,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     except (ConfigError, mc.RegimeViolationError, ValueError, KeyError,
-            FileNotFoundError, json.JSONDecodeError) as exc:
+            json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

@@ -132,30 +132,38 @@ def _star_discrepancy_1d(xs: np.ndarray) -> float:
 
 
 def _star_discrepancy_2d(points: np.ndarray) -> float:
-    """Exact sup over anchored boxes via corner-candidate enumeration."""
+    """Exact sup over anchored boxes via corner-candidate enumeration.
+
+    The corner x-coordinate a sweeps the distinct point x-coordinates, then
+    1; the y-coordinates of the points left of a stay one sorted array.
+    """
     n = len(points)
     order = np.argsort(points[:, 0], kind="stable")
     xs = points[order, 0]
     ys = points[order, 1]
-    best = 0.0
-    # Over-deviation: closed boxes anchored at (a, b) with a a point
-    # x-coordinate (or 1) and b a point y-coordinate (or 1).
     x_candidates = np.append(np.unique(xs), 1.0)
-    for a in x_candidates:
-        k = int(np.searchsorted(xs, a, side="right"))
-        Y = np.sort(ys[:k])
-        if k:
-            cnt = np.searchsorted(Y, Y, side="right")
-            best = max(best, float((cnt / n - a * Y).max()))
-        best = max(best, k / n - a)
+    ends = np.searchsorted(xs, x_candidates, side="right")
+    # With Y sorted, i stands in for the count of prefix points below Y[i]
+    # and i + 1 for those at or below it.  Within a run of equal values both
+    # err on the side that lowers the deviation, and both are exact at the
+    # run's end that attains its maximum, so neither maximum moves.
+    ranks = np.arange(n + 1) / n
+    best = 0.0
+    Y = ys[:0]
+    for a, k in zip(x_candidates, ends.tolist()):
         # Under-deviation: boxes approached from below each candidate
         # corner, counting points strictly inside.
-        ks = int(np.searchsorted(xs, a, side="left"))
-        Ys = np.sort(ys[:ks])
+        ks = len(Y)
         if ks:
-            cnt_lo = np.searchsorted(Ys, Ys, side="left")
-            best = max(best, float((a * Ys - cnt_lo / n).max()))
+            best = max(best, float((a * Y - ranks[:ks]).max()))
         best = max(best, a - ks / n)
+        # Over-deviation: closed boxes anchored at (a, b) with b a point
+        # y-coordinate (or 1).
+        new = np.sort(ys[ks:k])
+        Y = np.insert(Y, np.searchsorted(Y, new), new)
+        if k:
+            best = max(best, float((ranks[1:k + 1] - a * Y).max()))
+        best = max(best, k / n - a)
     return best
 
 

@@ -9,9 +9,10 @@ independent sampler producing the explicit permutation the oracles need.
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,23 +50,30 @@ class CycleType:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        if any(c < 0 for c in self.counts):
+        if min(self.counts, default=0) < 0:
             raise InvalidCycleTypeError("negative cycle count")
-        if sum((m + 1) * c for m, c in enumerate(self.counts)) != self.n:
+        if sum(map(operator.mul, range(1, len(self.counts) + 1), self.counts)) != self.n:
             raise InvalidCycleTypeError("weights sum(m*c_m) != n")
 
     @property
     def total_cycles(self) -> int:
         return sum(self.counts)
 
-    def nonzero(self) -> list[tuple[int, int]]:
+    @cached_property
+    def _nonzero(self) -> tuple[tuple[int, int], ...]:
+        return tuple((m + 1, c) for m, c in enumerate(self.counts) if c > 0)
+
+    def nonzero(self) -> tuple[tuple[int, int], ...]:
         """Pairs (m, c_m) with c_m > 0."""
-        return [(m + 1, c) for m, c in enumerate(self.counts) if c > 0]
+        return self._nonzero
 
 
 @dataclass(frozen=True)
 class Permutation:
-    """One-line notation: images[j] = sigma(j+1), values in 1..n."""
+    """One-line notation: images[j] = sigma(j+1), values in 1..n.
+
+    Cycles, cycle type and matrix are computed once, on first use.
+    """
 
     n: int
     images: tuple[int, ...]
@@ -74,7 +82,8 @@ class Permutation:
         if sorted(self.images) != list(range(1, self.n + 1)):
             raise ValueError("images must be a bijection of 1..n")
 
-    def cycles(self) -> list[list[int]]:
+    @cached_property
+    def _cycles(self) -> tuple[tuple[int, ...], ...]:
         seen = [False] * (self.n + 1)
         out = []
         for start in range(1, self.n + 1):
@@ -86,14 +95,29 @@ class Permutation:
                 seen[j] = True
                 cyc.append(j)
                 j = self.images[j - 1]
-            out.append(cyc)
-        return out
+            out.append(tuple(cyc))
+        return tuple(out)
 
-    def cycle_type(self) -> CycleType:
+    @cached_property
+    def _cycle_type(self) -> CycleType:
         counts = [0] * self.n
-        for cyc in self.cycles():
+        for cyc in self._cycles:
             counts[len(cyc) - 1] += 1
         return CycleType(self.n, tuple(counts))
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """P_ij = delta_{i, sigma(j)} as a read-only float array."""
+        P = np.zeros((self.n, self.n))
+        P[np.asarray(self.images, dtype=int) - 1, np.arange(self.n)] = 1.0
+        P.flags.writeable = False
+        return P
+
+    def cycles(self) -> tuple[tuple[int, ...], ...]:
+        return self._cycles
+
+    def cycle_type(self) -> CycleType:
+        return self._cycle_type
 
 
 def chain_probabilities(n: int, theta: EwensParameter) -> np.ndarray:
@@ -176,20 +200,37 @@ def esf_probability(ct: CycleType, theta: EwensParameter) -> float:
     return math.exp(log_p)
 
 
+def _cycle_count_rows(bits: np.ndarray) -> np.ndarray:
+    """Row r of the result is the counts c_1..c_n that `cycle_groups` reads
+    from the chain bits[r]; `bits` has shape (N, n) with bits[:, 0] set."""
+    N, n = bits.shape
+    rows, starts = np.nonzero(bits)
+    # a cycle runs from each 1 to the next 1 of its row, or to the end n
+    ends = np.append(starts[1:], n)
+    ends[np.append(rows[1:] != rows[:-1], True)] = n
+    return np.bincount(rows * n + (ends - starts - 1), minlength=N * n).reshape(N, n)
+
+
 def exact_feller_distribution(n: int, theta: EwensParameter) -> dict[CycleType, float]:
-    """Exact law of cycle_counts_from_chain by enumerating all 2^(n-1) chains."""
+    """Exact law of cycle_counts_from_chain by enumerating all 2^(n-1) chains.
+
+    The chains are the rows of one array in itertools.product order; each
+    cycle type sums its rows' probabilities in that order and is keyed in
+    order of first appearance.
+    """
     if not 1 <= n <= 16:
         raise SizeLimitError(f"exact enumeration needs 1 <= n <= 16, got n = {n}")
     p = chain_probabilities(n, theta)
-    dist: dict[CycleType, float] = {}
-    for tail in itertools.product((0, 1), repeat=n - 1):
-        bits = np.array((1,) + tail, dtype=bool)
-        prob = 1.0
-        for i in range(1, n):
-            prob *= p[i] if bits[i] else (1.0 - p[i])
-        ct = cycle_counts_from_chain(bits)
-        dist[ct] = dist.get(ct, 0.0) + prob
-    return dist
+    tails = (np.arange(2 ** (n - 1))[:, None] >> np.arange(n - 2, -1, -1)) & 1
+    bits = np.concatenate([np.ones((len(tails), 1), dtype=bool), tails.astype(bool)], axis=1)
+    prob = np.ones(len(bits))
+    for i in range(1, n):
+        prob *= np.where(bits[:, i], p[i], 1.0 - p[i])
+    types, first, which = np.unique(_cycle_count_rows(bits), axis=0,
+                                    return_index=True, return_inverse=True)
+    total = np.zeros(len(types))
+    np.add.at(total, which.ravel(), prob)
+    return {CycleType(n, tuple(types[k].tolist())): total[k].item() for k in np.argsort(first)}
 
 
 def psi_n(n: int, m, theta: EwensParameter):

@@ -196,3 +196,21 @@ def test_permutation_matrix_structure():
     # column j has one entry z_sigma(j) at row sigma(j)
     assert M[1, 0] == 2.0 and M[2, 1] == 3.0 and M[0, 2] == 1.0
     assert np.count_nonzero(M) == 3
+
+
+def test_matrices_equal_entrywise_construction():
+    # every permutation of n <= 4, against the matrices built entry by entry
+    z = np.exp(2j * np.pi * np.array([0.1, 0.35, 0.6, 0.85]))
+    for n in range(1, 5):
+        for perm in all_permutations(n):
+            P = np.zeros((n, n))
+            M = np.zeros((n, n), dtype=complex)
+            for j, i in enumerate(perm.images):
+                P[i - 1, j] = 1.0
+                M[i - 1, j] = z[i - 1]
+            assert np.array_equal(cf.permutation_matrix(perm, z[:n]), M)
+            assert np.array_equal(cf.sym_matrix(perm), P + P.T)
+            assert np.array_equal(cf.antisym_matrix(perm), P - P.T)
+            for x in (-1.5, 0.0, 0.7):
+                want = float(np.linalg.det(P + P.T - x * np.eye(n)))
+                assert cf.sym_char_poly_matrix(perm, x) == want

@@ -225,6 +225,13 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
     rejected(["discrepancy", "--kronecker", "nan", "--n", "10"], "finite")
     rejected(["discrepancy", "--kronecker", "inf", "--n", "10", "--etk-H", "3"], "finite")
     rejected(["feller-check", "--n", "0", "--theta", "1"], "1 <= n <= 16")
+    # an output path that cannot be written: a missing directory or a directory
+    for target in (str(tmp_path / "missing-dir" / "x.out"), str(tmp_path)):
+        rejected(["constants", "--function", "charpoly", "--output", target], "cannot write output")
+        rejected(["sample", "--n", "5", "--theta", "1", "--format", "csv", "--output", target],
+                 "cannot write output")
+        rejected(["clt", "--config", _clt_config(tmp_path), "--dump-samples", target],
+                 "cannot write output")
 
 
 def test_clt_single_sample_reports_no_spread(tmp_path, capsys):

@@ -51,6 +51,29 @@ def test_star_discrepancy_2d_matches_grid_oracle():
         assert exact - oracle < 2 / 60 + 1e-9
 
 
+def _corner_discrepancy(pts):
+    """D_n^* by brute force: every corner (a, b) with a a point x-coordinate
+    or 1 and b a point y-coordinate or 1, closed boxes for the excess and
+    open ones for the deficit."""
+    n = len(pts)
+    a = np.append(pts[:, 0], 1.0)[:, None, None]
+    b = np.append(pts[:, 1], 1.0)[None, :, None]
+    x, y = pts[:, 0], pts[:, 1]
+    closed = ((x <= a) & (y <= b)).sum(axis=-1)
+    open_ = ((x < a) & (y < b)).sum(axis=-1)
+    ab = a[..., 0] * b[..., 0]
+    return max(float((closed / n - ab).max()), float((ab - open_ / n).max()))
+
+
+def test_star_discrepancy_2d_equals_corner_enumeration():
+    # points on a 1/8 lattice tie in both coordinates; uniform points do not
+    rng = np.random.default_rng(5)
+    for n in range(1, 41):
+        for pts in (rng.integers(0, 8, size=(n, 2)) / 8, rng.random((n, 2)),
+                    np.column_stack([rng.integers(0, 8, n) / 8, rng.random(n)])):
+            assert eq.star_discrepancy_exact(PointSequence(2, pts)) == _corner_discrepancy(pts)
+
+
 def test_discrepancy_dimension_guard():
     with pytest.raises(DimensionUnsupportedError):
         eq.star_discrepancy_exact(PointSequence(3, np.zeros((2, 3))))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -100,6 +101,37 @@ def test_exact_feller_distribution_sums_to_one():
         assert math.fsum(dist.values()) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_exact_feller_distribution_equals_chain_loop():
+    # the law summed chain by chain, in itertools.product order: the same
+    # keys in the same order and the same floats
+    for theta in (0.5, 1.0, 2.7):
+        t = EwensParameter(theta)
+        for n in range(1, 11):
+            p = ewens.chain_probabilities(n, t)
+            want: dict = {}
+            for tail in itertools.product((0, 1), repeat=n - 1):
+                bits = np.array((1,) + tail, dtype=bool)
+                prob = 1.0
+                for i in range(1, n):
+                    prob *= p[i] if bits[i] else (1.0 - p[i])
+                ct = ewens.cycle_counts_from_chain(bits)
+                want[ct] = want.get(ct, 0.0) + prob
+            got = ewens.exact_feller_distribution(n, t)
+            assert list(got) == list(want)
+            assert list(got.values()) == list(want.values())
+
+
+def test_cycle_count_rows_agree_with_cycle_groups():
+    # the enumeration's array reader and the reader the Monte Carlo runs
+    # agree on every chain up to n = 12
+    for n in range(1, 13):
+        bits = np.array([(1,) + tail for tail in itertools.product((0, 1), repeat=n - 1)],
+                        dtype=bool)
+        rows = ewens._cycle_count_rows(bits)
+        for chain, row in zip(bits, rows):
+            assert tuple(row.tolist()) == ewens.cycle_counts_from_chain(chain).counts
+
+
 def test_exact_feller_distribution_size_limit():
     with pytest.raises(SizeLimitError):
         ewens.exact_feller_distribution(17, EwensParameter(1.0))
@@ -182,6 +214,25 @@ def test_feller_coupling_gap_shrinks_with_n():
     g_small = ewens.feller_coupling_gap(20, theta, 1, 4000, rng)
     g_large = ewens.feller_coupling_gap(500, theta, 1, 4000, rng)
     assert g_large < g_small
+
+
+def test_permutation_memoizes_without_changing_identity():
+    perm = Permutation(5, (2, 3, 1, 5, 4))
+    twin = Permutation(5, (2, 3, 1, 5, 4))
+    perm.cycles(), perm.cycle_type(), perm.matrix  # fill one instance's caches
+    assert perm == twin and hash(perm) == hash(twin) and {twin: 1}[perm] == 1
+    assert perm != Permutation(5, (1, 2, 3, 4, 5))
+    assert perm.cycles() == perm.cycles() == twin.cycles() == ((1, 2, 3), (4, 5))
+    assert perm.cycle_type() == twin.cycle_type() == CycleType(5, (0, 1, 1, 0, 0))
+    assert perm.cycle_type().nonzero() == ((2, 1), (3, 1))
+    # P_ij = 1 exactly when i = sigma(j)
+    want = np.zeros((5, 5))
+    for j, i in enumerate(perm.images):
+        want[i - 1, j] = 1.0
+    assert np.array_equal(perm.matrix, want) and perm.matrix is perm.matrix
+    with pytest.raises(ValueError):
+        perm.matrix[0, 0] = 1.0
+    assert np.array_equal(perm.matrix, want)
 
 
 def test_permutation_rejects_non_bijection():
