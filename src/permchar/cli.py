@@ -49,37 +49,36 @@ def _output(path: str | None, newline: str | None = None):
         yield fh
 
 
-def _emit(payload: dict, out_path: str | None) -> None:
+def _emit(payload: dict, fh) -> None:
     # Streamed, never built as one string; written in batches because each
     # write is a system call when stdout is unbuffered.
     chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
-    with _output(out_path) as fh:
-        while batch := "".join(itertools.islice(chunks, 16384)):
-            fh.write(batch)
-        fh.write("\n")
+    while batch := "".join(itertools.islice(chunks, 16384)):
+        fh.write(batch)
+    fh.write("\n")
 
 
 def cmd_sample(args) -> int:
     if args.n < 1 or args.theta <= 0 or args.count < 1:
         raise ConfigError("need n >= 1, theta > 0, count >= 1")
-    p = ewens.chain_probabilities(args.n, ewens.EwensParameter(args.theta))
-    rows = []
-    for i in range(args.count):
-        bits = ewens.sample_feller_chain(p, mc.derive_stream(args.seed, i))
-        ct = ewens.cycle_counts_from_chain(bits)
-        rows.append({"sample_index": i, "cycle_counts": list(ct.counts),
-                     "total_cycles": ct.total_cycles})
-    if args.format == "csv":
-        with _output(args.output, newline="") as fh:
+    chain = ewens.FellerChain(args.n, ewens.EwensParameter(args.theta))
+    with _output(args.output, newline="" if args.format == "csv" else None) as fh:
+        rows = []
+        for i in range(args.count):
+            groups = chain.cycle_groups(mc.derive_stream(args.seed, i))
+            ct = ewens.cycle_counts_from_groups(args.n, *groups)
+            rows.append({"sample_index": i, "cycle_counts": list(ct.counts),
+                         "total_cycles": ct.total_cycles})
+        if args.format == "csv":
             writer = csv.writer(fh)
             writer.writerow(["sample_index", "cycle_length", "count"])
             for row in rows:
                 for m, c in enumerate(row["cycle_counts"], start=1):
                     if c:
                         writer.writerow([row["sample_index"], m, c])
-    else:
-        _emit({"version": CONFIG_VERSION, "n": args.n, "theta": args.theta,
-               "seed": args.seed, "samples": rows}, args.output)
+        else:
+            _emit({"version": CONFIG_VERSION, "n": args.n, "theta": args.theta,
+                   "seed": args.seed, "samples": rows}, fh)
     return 0
 
 
@@ -111,17 +110,22 @@ def _load_experiment_config(args) -> mc.ExperimentConfig:
 
 def cmd_clt(args) -> int:
     cfg = _load_experiment_config(args)
-    result = mc.run_experiment(cfg)
-    # the dump first: a dump path that cannot be written prints no result
-    if args.dump_samples:
-        d = max(1, len(cfg.points)) if cfg.kind != "total-cycles" else 1
-        with _output(args.dump_samples, newline="") as fh:
-            writer = csv.writer(fh)
+    mc.validate_config(cfg)  # a bad config leaves existing outputs as they are
+    # both outputs open before the run, so a path that cannot be written
+    # fails at once; the dump first, so its failure prints no result
+    with contextlib.ExitStack() as outputs:
+        dump = (outputs.enter_context(_output(args.dump_samples, newline=""))
+                if args.dump_samples else None)
+        fh = outputs.enter_context(_output(args.output))
+        result = mc.run_experiment(cfg)
+        if dump:
+            d = max(1, len(cfg.points)) if cfg.kind != "total-cycles" else 1
+            writer = csv.writer(dump)
             writer.writerow(["sample_index", "point_index", "re", "im"])
             for i, row in enumerate(result.samples):
                 for j in range(d):
                     writer.writerow([i, j, repr(float(row[j])), repr(float(row[d + j]))])
-    _emit({"version": CONFIG_VERSION, **result.to_dict()}, args.output)
+        _emit({"version": CONFIG_VERSION, **result.to_dict()}, fh)
     return 0
 
 
@@ -137,7 +141,8 @@ def cmd_discrepancy(args) -> int:
     etk = equidist.etk_bound(phi_arg, args.n, args.etk_H) if args.etk_H is not None else None
     report = equidist.DiscrepancyReport(n=args.n, d=len(phis), exact_value=exact,
                                         etk_bound=etk)
-    _emit(report.to_dict(), args.output)
+    with _output(args.output) as fh:
+        _emit(report.to_dict(), fh)
     return 0
 
 
@@ -148,7 +153,8 @@ def cmd_constants(args) -> int:
         payload = limits.limit_constants(fs[0]).to_dict()
     else:
         payload = limits.covariance_matrix(fs, args.theta).to_dict()
-    _emit(payload, args.output)
+    with _output(args.output) as fh:
+        _emit(payload, fh)
     return 0
 
 
@@ -158,9 +164,9 @@ def cmd_feller_check(args) -> int:
     worst = 0.0
     for ct, p in dist.items():
         worst = max(worst, abs(p - ewens.esf_probability(ct, theta)))
-    _emit({"n": args.n, "theta": args.theta, "num_cycle_types": len(dist),
-           "max_abs_difference": worst, "total_probability": math.fsum(dist.values())},
-          args.output)
+    with _output(args.output) as fh:
+        _emit({"n": args.n, "theta": args.theta, "num_cycle_types": len(dist),
+               "max_abs_difference": worst, "total_probability": math.fsum(dist.values())}, fh)
     return 0
 
 

@@ -1,10 +1,12 @@
 """Ewens-distributed cycle structures via the Feller coupling.
 
 The Feller coupling builds the cycle counts of an Ewens(theta) permutation
-and their Poisson limits from a single chain of independent Bernoulli bits
-(drawn by `sample_feller_chain`, read by `cycle_groups`), which lets us
-compare the two pathwise.  The Chinese restaurant process provides a second,
-independent sampler producing the explicit permutation the oracles need.
+and their Poisson limits from a single chain of independent Bernoulli bits,
+which lets us compare the two pathwise.  `FellerChain` reads a chain
+CHUNK uniforms at a time and keeps only the positions of its ones; the dense
+chain (`sample_feller_chain`, read by `cycle_groups`) is its test oracle.
+The Chinese restaurant process provides a second, independent sampler
+producing the explicit permutation the oracles need.
 """
 
 from __future__ import annotations
@@ -17,6 +19,10 @@ from functools import cached_property
 import numpy as np
 
 _lgamma = np.vectorize(math.lgamma, otypes=[float])
+
+# Uniforms per draw wherever a long block of them is read in pieces: the
+# Feller chain here and the uniform T_m in multipliers.
+CHUNK = 1 << 16
 
 
 class InvalidCycleTypeError(ValueError):
@@ -129,7 +135,8 @@ def chain_probabilities(n: int, theta: EwensParameter) -> np.ndarray:
 def sample_feller_chain(p: np.ndarray, stream: np.random.Generator) -> np.ndarray:
     """Draw the bits xi_1..xi_n of the Feller chain, with xi_1 = 1.
 
-    `p` is chain_probabilities(n, theta), computed once per run.
+    `p` is chain_probabilities(n, theta).  This dense draw is FellerChain's
+    first chunk and, over the whole chain, its test oracle.
     """
     bits = stream.random(len(p)) < p
     bits[0] = True
@@ -143,16 +150,60 @@ def cycle_groups(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     contributes one cycle of length m; the appended 1 supplies the
     boundary term, so the gap lengths sum to n exactly.
     """
-    gaps = np.diff(np.append(np.flatnonzero(bits), len(bits)))
-    return np.unique(gaps, return_counts=True)
+    return _gap_groups(np.flatnonzero(bits), len(bits))
+
+
+def _gap_groups(ones: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.unique(np.diff(np.append(ones, n)), return_counts=True)
+
+
+class FellerChain:
+    """The Feller chain of length n, read CHUNK uniforms at a time.
+
+    `ones(stream)` consumes the same n uniforms in the same order as
+    sample_feller_chain(chain_probabilities(n, theta), stream) and returns
+    the positions of that chain's ones, so a draw holds O(CHUNK) memory
+    instead of O(n).  The first CHUNK positions are compared with their
+    probabilities as in the dense chain.  Past them, p_i does not increase
+    with i, so a chunk starting at i = s + 1 keeps only the uniforms below
+    p_{s+1} and tests those against their own p_i, computed with the
+    float operations of chain_probabilities.  Every draw reuses one buffer,
+    so an instance serves one thread.
+    """
+
+    def __init__(self, n: int, theta: EwensParameter):
+        self.n = n
+        self._theta = theta.theta
+        self._p_head = chain_probabilities(min(n, CHUNK), theta)
+        self._buf = np.empty(min(max(n - CHUNK, 0), CHUNK))  # reused by every tail chunk
+
+    def ones(self, stream: np.random.Generator) -> np.ndarray:
+        """Positions (0-based, ascending) of the ones of one chain draw."""
+        parts = [np.flatnonzero(sample_feller_chain(self._p_head, stream))]
+        t = self._theta
+        for s in range(CHUNK, self.n, CHUNK):
+            k = min(CHUNK, self.n - s)
+            u = stream.random(k, out=self._buf[:k])
+            cand = np.flatnonzero(u < t / (t + (s + 1) - 1.0))
+            i = (cand + (s + 1)).astype(float)
+            parts.append(cand[u[cand] < t / (t + i - 1.0)] + s)
+        return np.concatenate(parts)
+
+    def cycle_groups(self, stream: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """Cycle lengths and multiplicities of one chain draw, as `cycle_groups`."""
+        return _gap_groups(self.ones(stream), self.n)
+
+
+def cycle_counts_from_groups(n: int, lengths: np.ndarray, mults: np.ndarray) -> CycleType:
+    """Counts (c_1, ..., c_n) of the cycle type with these lengths and multiplicities."""
+    counts = np.zeros(n, dtype=int)
+    counts[lengths - 1] = mults
+    return CycleType(n, tuple(counts.tolist()))
 
 
 def cycle_counts_from_chain(bits: np.ndarray) -> CycleType:
     """Counts (c_1, ..., c_n) of the cycle type that `cycle_groups` reads."""
-    lengths, mults = cycle_groups(bits)
-    counts = np.zeros(len(bits), dtype=int)
-    counts[lengths - 1] = mults
-    return CycleType(len(bits), tuple(counts.tolist()))
+    return cycle_counts_from_groups(len(bits), *cycle_groups(bits))
 
 
 def poisson_counts_from_chain(bits: np.ndarray, m_max: int) -> tuple[int, ...]:
@@ -251,15 +302,16 @@ def feller_coupling_gap(n: int, theta: EwensParameter, m: int, num_samples: int,
                         stream: np.random.Generator) -> float:
     """Monte Carlo estimate of E|C_m - Y_m| using one chain for both counts.
 
-    C_m reads the first n bits of the chain, Y_m all max(10 n, 2 m) of them.
+    C_m reads the first n bits of the chain, Y_m all max(10 n, 2 m) of them
+    (the m-spacings of the chain itself, as poisson_counts_from_chain).
     """
     if not (1 <= m <= n) or num_samples < 1:
         raise ValueError("need 1 <= m <= n and num_samples >= 1")
-    p = chain_probabilities(max(10 * n, 2 * m), theta)
+    chain = FellerChain(max(10 * n, 2 * m), theta)
     total = 0
     for _ in range(num_samples):
-        bits = sample_feller_chain(p, stream)
-        lengths, mults = cycle_groups(bits[:n])
-        c_m = int(mults[lengths == m].sum())
-        total += abs(c_m - poisson_counts_from_chain(bits, m)[m - 1])
+        ones = chain.ones(stream)
+        c_m = np.count_nonzero(np.diff(np.append(ones[ones < n], n)) == m)
+        y_m = np.count_nonzero(np.diff(ones) == m)
+        total += abs(int(c_m) - int(y_m))
     return total / num_samples

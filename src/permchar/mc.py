@@ -16,7 +16,7 @@ import numpy as np
 
 from . import classfuncs, limits
 from .equidist import finite_type_estimate
-from .ewens import EwensParameter, chain_probabilities, cycle_groups, sample_feller_chain
+from .ewens import EwensParameter, FellerChain
 from .multipliers import (DiscreteRoots, FourierDensity, MultiplierModel, Trivial, Uniform)
 
 _KINDS = ("logZ", "w1", "w2", "total-cycles")
@@ -180,6 +180,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         mtype = cfg.model_spec.get("type")
         if mtype in ("trivial", "discrete"):
             _require_finite_type(cfg.points)
+        # build what run_experiment builds, so every config error is raised here
+        _functions(cfg)
+        model_from_spec(cfg.model_spec)
 
 
 def _functions(cfg: ExperimentConfig) -> list[classfuncs.SpectralFunction]:
@@ -189,21 +192,21 @@ def _functions(cfg: ExperimentConfig) -> list[classfuncs.SpectralFunction]:
     return [classfuncs.spectral_function_by_label(lb) for lb in labels]
 
 
-def _sample_cycle_groups(p: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+def _sample_cycle_groups(chain: FellerChain, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Cycle lengths and multiplicities of one Feller-chain draw."""
     # kept as a function of its own: perfbench's tracer counts ewens.cycles
     # by the qualified name mc._sample_cycle_groups
-    return cycle_groups(sample_feller_chain(p, rng))
+    return chain.cycle_groups(rng)
 
 
-def _eval_sample(cfg: ExperimentConfig, fs, model, p: np.ndarray,
+def _eval_sample(cfg: ExperimentConfig, fs, model, chain: FellerChain,
                  rng: np.random.Generator) -> np.ndarray:
     """One statistic draw: (re_1..re_d, im_1..im_d), or total cycles.
 
     All points read the same matrix: each cycle gets one multiplier draw
     (z = T_1 for w1, the product T_m otherwise), shared by every coordinate.
     """
-    lengths, mults = _sample_cycle_groups(p, rng)
+    lengths, mults = _sample_cycle_groups(chain, rng)
     if cfg.kind == "total-cycles":
         return np.array([float(mults.sum()), 0.0])
     ms = np.ones_like(lengths) if cfg.kind == "w1" else lengths
@@ -219,7 +222,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     t0 = time.monotonic()
     validate_config(cfg)
     theta = EwensParameter(cfg.theta)
-    p = chain_probabilities(cfg.n, theta)
+    chain = FellerChain(cfg.n, theta)
     d = max(1, len(cfg.points))
     if cfg.kind == "total-cycles":
         fs, model = [], None
@@ -236,7 +239,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         while True:
             rng = derive_stream(cfg.master_seed, i, retry)
             try:
-                raw[i] = _eval_sample(cfg, fs, model, p, rng)
+                raw[i] = _eval_sample(cfg, fs, model, chain, rng)
                 break
             except classfuncs.SingularSampleError:
                 rejections += 1

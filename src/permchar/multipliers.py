@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ewens import CHUNK
+
 _VALIDATION_GRID = 4096
 
 
@@ -67,8 +69,47 @@ class Uniform:
     def sample_T(self, m: int, stream: np.random.Generator, size: int) -> np.ndarray:
         # T_m is again uniform, so one uniform per draw would be exact too;
         # summing m uniforms keeps every uniform stream unchanged, and with
-        # it the numbers the pinned-seed acceptance checks see.
-        return np.mod(stream.random((m, size)).sum(axis=0), 1.0)
+        # it the numbers the pinned-seed acceptance checks see.  A block of
+        # more than CHUNK uniforms is read in chunks and summed in the order
+        # numpy sums the whole (m, size) block, so the result is the same.
+        if m * size <= CHUNK:
+            return np.mod(stream.random((m, size)).sum(axis=0), 1.0)
+        if size == 1:
+            return np.mod([_pairwise_sum(m, stream, np.empty(CHUNK))], 1.0)
+        return np.mod(_row_sums(m, size, stream), 1.0)
+
+
+def _pairwise_sum(k: int, stream: np.random.Generator, buf: np.ndarray) -> float:
+    """stream.random(k).sum(), holding at most CHUNK uniforms at a time.
+
+    numpy sums a long vector pairwise: it splits k at half, rounded down to
+    a multiple of 8, and sums the two halves alone.  Splitting the same way
+    down to pieces of at most CHUNK, each summed by numpy, adds the same
+    floats in the same order.
+    """
+    if k <= CHUNK:
+        return stream.random(k, out=buf[:k]).sum()
+    half = k // 2 - k // 2 % 8
+    left = _pairwise_sum(half, stream, buf)
+    return left + _pairwise_sum(k - half, stream, buf)
+
+
+def _row_sums(m: int, size: int, stream: np.random.Generator) -> np.ndarray:
+    """stream.random((m, size)).sum(axis=0), holding about CHUNK uniforms.
+
+    numpy sums a C-ordered block over axis 0 row after row, so the running
+    sum, put in front of the next rows, continues the same additions
+    (0 + x == x for the first row).
+    """
+    rows = max(1, CHUNK // size)
+    buf = np.empty((rows + 1, size))
+    acc = np.zeros(size)
+    for start in range(0, m, rows):
+        k = min(rows, m - start)
+        buf[0] = acc
+        stream.random((k, size), out=buf[1:k + 1])
+        acc = buf[:k + 1].sum(axis=0)
+    return acc
 
 
 class FourierDensity:
@@ -129,7 +170,7 @@ class DiscreteRoots:
 
     Construct either from probabilities or from Fourier coefficients
     (see discrete_probs_from_fourier).  T_m has coefficients coeffs**m, so
-    its probability table is their inverse DFT; tables are cached per m.
+    its probability table is their inverse DFT; sample_T caches its CDF per m.
     """
 
     def __init__(self, rho: int, probs: np.ndarray | None = None,
@@ -146,16 +187,20 @@ class DiscreteRoots:
             raise InvalidCoefficientsError("invalid probability vector")
         self.probs = probs
         self.coeffs = fourier_coeffs_from_probs(probs)
-        self._laws = {1: probs}
+        self._cdfs: dict[int, np.ndarray] = {}
 
     def product_probs(self, m: int) -> np.ndarray:
         """Law of T_m via c -> c^m."""
-        if m not in self._laws:
-            self._laws[m] = _probs_from_coeffs(self.coeffs ** m)
-        return self._laws[m]
+        return self.probs if m == 1 else _probs_from_coeffs(self.coeffs ** m)
 
     def sample_T(self, m: int, stream: np.random.Generator, size: int) -> np.ndarray:
-        k = stream.choice(self.rho, size=size, p=self.product_probs(m))
+        # stream.choice(rho, size, p=product_probs(m)) by its own inversion
+        # (same uniforms, same indices), without its per-call checks
+        if m not in self._cdfs:
+            cdf = self.product_probs(m).cumsum()
+            cdf /= cdf[-1]
+            self._cdfs[m] = cdf
+        k = np.searchsorted(self._cdfs[m], stream.random(size), side="right")
         return k / self.rho
 
 

@@ -44,9 +44,9 @@ def test_mc_cycle_groups_match_cli_sample(capsys):
         code, out, _ = run(capsys, ["sample", "--n", str(n), "--theta", str(theta),
                                     "--count", "4", "--seed", str(seed)])
         assert code == 0
-        p = ewens.chain_probabilities(n, ewens.EwensParameter(theta))
+        chain = ewens.FellerChain(n, ewens.EwensParameter(theta))
         for row in json.loads(out)["samples"]:
-            lengths, mults = mc._sample_cycle_groups(p, mc.derive_stream(seed, row["sample_index"]))
+            lengths, mults = mc._sample_cycle_groups(chain, mc.derive_stream(seed, row["sample_index"]))
             counts = np.zeros(n, dtype=int)
             counts[lengths - 1] = mults
             assert counts.tolist() == row["cycle_counts"]
@@ -232,6 +232,25 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
                  "cannot write output")
         rejected(["clt", "--config", _clt_config(tmp_path), "--dump-samples", target],
                  "cannot write output")
+
+
+def test_clt_opens_outputs_before_the_run(tmp_path, capsys, monkeypatch):
+    # an output that cannot be written fails before any sample is drawn
+    def no_run(cfg):
+        raise AssertionError("run_experiment called")
+
+    monkeypatch.setattr(mc, "run_experiment", no_run)
+    target = str(tmp_path / "missing-dir" / "x.out")
+    for flag in ("--output", "--dump-samples"):
+        code, out, err = run(capsys, ["clt", "--config", _clt_config(tmp_path), flag, target])
+        assert code == 2 and out == "" and "cannot write output" in err
+    # and a config error comes first: existing outputs are left as they are
+    existing = tmp_path / "existing.out"
+    for overrides in (dict(n=1), dict(model_spec={"type": "nope"}), dict(function_labels=["nope"])):
+        existing.write_text("kept")
+        code, _, _ = run(capsys, ["clt", "--config", _clt_config(tmp_path, **overrides),
+                                  "--output", str(existing), "--dump-samples", str(existing)])
+        assert code == 2 and existing.read_text() == "kept"
 
 
 def test_clt_single_sample_reports_no_spread(tmp_path, capsys):

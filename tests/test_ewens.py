@@ -216,6 +216,46 @@ def test_feller_coupling_gap_shrinks_with_n():
     assert g_large < g_small
 
 
+def test_feller_chain_reader_equals_dense_chain():
+    # the same uniforms in the same order: the same ones, the stream left
+    # where the dense draw leaves it
+    C = ewens.CHUNK
+    for n in (1, C - 1, C, C + 1, 3 * C + 7):
+        for t in (0.3, 1.0, 2.7, 50.0):
+            theta = EwensParameter(t)
+            chain = ewens.FellerChain(n, theta)
+            p = ewens.chain_probabilities(n, theta)
+            for seed in range(3):
+                dense, chunked = np.random.default_rng(seed), np.random.default_rng(seed)
+                want = np.flatnonzero(ewens.sample_feller_chain(p, dense))
+                got = chain.ones(chunked)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (n, t, seed)
+                assert chunked.random() == dense.random()
+                lengths, mults = chain.cycle_groups(np.random.default_rng(seed))
+                dense_lengths, dense_mults = ewens.cycle_groups(ewens.sample_feller_chain(
+                    p, np.random.default_rng(seed)))
+                assert np.array_equal(lengths, dense_lengths) and np.array_equal(mults, dense_mults)
+
+
+def test_feller_coupling_gap_equals_dense_chain():
+    def dense_gap(n, theta, m, num_samples, stream):
+        p = ewens.chain_probabilities(max(10 * n, 2 * m), theta)
+        total = 0
+        for _ in range(num_samples):
+            bits = ewens.sample_feller_chain(p, stream)
+            lengths, mults = ewens.cycle_groups(bits[:n])
+            c_m = int(mults[lengths == m].sum())
+            total += abs(c_m - ewens.poisson_counts_from_chain(bits, m)[m - 1])
+        return total / num_samples
+
+    # horizons 200 to 70,000: one chunk, and two
+    for n, t, m, num_samples, seed in ((20, 1.0, 1, 300, 1), (50, 0.6, 3, 300, 2),
+                                       (2000, 2.0, 5, 100, 3), (7000, 0.5, 1, 30, 4)):
+        theta = EwensParameter(t)
+        got = ewens.feller_coupling_gap(n, theta, m, num_samples, np.random.default_rng(seed))
+        assert got == dense_gap(n, theta, m, num_samples, np.random.default_rng(seed))
+
+
 def test_permutation_memoizes_without_changing_identity():
     perm = Permutation(5, (2, 3, 1, 5, 4))
     twin = Permutation(5, (2, 3, 1, 5, 4))

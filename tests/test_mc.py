@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,3 +170,16 @@ def test_result_json_roundtrip_is_deterministic():
     d2 = mc.run_experiment(cfg).to_dict()
     assert d1 == d2
     assert "wall_time" not in d1
+
+
+def test_large_n_run_holds_no_array_of_n():
+    # chain and T_m are read in chunks: a run at n = 4e6 never holds O(n) floats
+    # (one array of n floats would be 32 MB)
+    cfg = mc.ExperimentConfig(n=4 * 10 ** 6, theta=1.0, points=(SQRT2,), num_samples=2, master_seed=3)
+    tracemalloc.start()
+    try:
+        mc.run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20

@@ -103,3 +103,29 @@ def test_sample_joint_cycle_shares_cycle_length():
         assert np.all(model.sample_T(0, rng, 3) == 0.0)
     with pytest.raises(ValueError):
         FourierDensity({1: 0.4, -1: 0.4}).sample_T(0, rng, 1)
+
+
+def test_uniform_T_in_chunks_equals_one_block():
+    # above CHUNK uniforms the sum is read in chunks: same floats, same stream
+    C = mult.CHUNK
+    for m in (C - 1, C + 1, 2 * C + 3, 10 ** 6 + 3):
+        for size in (1, 2, 3):
+            for seed in range(2):
+                block, chunked = np.random.default_rng(seed), np.random.default_rng(seed)
+                want = np.mod(block.random((m, size)).sum(axis=0), 1.0)
+                got = Uniform().sample_T(m, chunked, size)
+                assert got.shape == (size,) and np.array_equal(got, want), (m, size, seed)
+                assert chunked.random() == block.random()
+
+
+def test_discrete_T_equals_stream_choice():
+    for rho, probs in ((1, [1.0]), (2, [0.3, 0.7]), (3, [0.5, 0.25, 0.25]),
+                       (5, [0.1, 0.2, 0.3, 0.15, 0.25])):
+        model = DiscreteRoots(rho, probs=np.array(probs))
+        for seed in range(4):
+            ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for m in (1, 2, 3, 7, 30, 59):
+                for size in (1, 2, 5, 17):
+                    want = ref.choice(rho, size=size, p=model.product_probs(m)) / rho
+                    assert np.array_equal(model.sample_T(m, ours, size), want), (rho, seed, m, size)
+            assert ours.random() == ref.random()
