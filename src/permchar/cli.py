@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import itertools
 import json
 import math
@@ -90,17 +91,14 @@ def _load_experiment_config(args) -> mc.ExperimentConfig:
         raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
-    if raw.get("version") != CONFIG_VERSION:
-        raise ConfigError(f"config version must be {CONFIG_VERSION}")
-    fields = {"n", "theta", "points", "kind", "function_labels", "model_spec",
-              "num_samples", "master_seed", "centering"}
+    version = raw.get("version")
+    if type(version) is not int or version != CONFIG_VERSION:  # true and 1.0 are not 1
+        raise ConfigError(f"config version must be the integer {CONFIG_VERSION}, got {version!r}")
+    fields = {f.name for f in dataclasses.fields(mc.ExperimentConfig)}
     unknown = set(raw) - fields - {"version"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     kwargs = {k: raw[k] for k in fields if k in raw}
-    for key in ("points", "function_labels"):
-        if isinstance(kwargs.get(key), list):  # anything else is rejected by validate_config
-            kwargs[key] = tuple(kwargs[key])
     kwargs.setdefault("master_seed", _default_seed())
     try:
         return mc.ExperimentConfig(**kwargs)
@@ -111,6 +109,9 @@ def _load_experiment_config(args) -> mc.ExperimentConfig:
 def cmd_clt(args) -> int:
     cfg = _load_experiment_config(args)
     mc.validate_config(cfg)  # a bad config leaves existing outputs as they are
+    if args.output and args.dump_samples and (
+            os.path.realpath(args.output) == os.path.realpath(args.dump_samples)):
+        raise ConfigError(f"--output and --dump-samples name the same file {args.output!r}")
     # both outputs open before the run, so a path that cannot be written
     # fails at once; the dump first, so its failure prints no result
     with contextlib.ExitStack() as outputs:
@@ -119,7 +120,7 @@ def cmd_clt(args) -> int:
         fh = outputs.enter_context(_output(args.output))
         result = mc.run_experiment(cfg)
         if dump:
-            d = max(1, len(cfg.points)) if cfg.kind != "total-cycles" else 1
+            d = result.samples.shape[1] // 2
             writer = csv.writer(dump)
             writer.writerow(["sample_index", "point_index", "re", "im"])
             for i, row in enumerate(result.samples):
@@ -139,10 +140,8 @@ def cmd_discrepancy(args) -> int:
     seq = equidist.kronecker(phi_arg, args.n)
     exact = equidist.star_discrepancy_exact(seq)
     etk = equidist.etk_bound(phi_arg, args.n, args.etk_H) if args.etk_H is not None else None
-    report = equidist.DiscrepancyReport(n=args.n, d=len(phis), exact_value=exact,
-                                        etk_bound=etk)
     with _output(args.output) as fh:
-        _emit(report.to_dict(), fh)
+        _emit({"n": args.n, "d": len(phis), "exact": exact, "etk": etk}, fh)
     return 0
 
 

@@ -3,8 +3,9 @@
 Exact star discrepancy is available in dimensions 1 and 2; the
 Erdos-Turan-Koksma lemma gives an upper bound for Kronecker sequences and
 finite-type Diophantine certificates control how fast it decays.  The
-extended Koksma-Hlawka bound works on the shrunken box [delta, 1-delta]^d
-so that logarithmically singular integrands become admissible.
+extended Koksma-Hlawka bound (d = 1) works on the shrunken interval
+[delta, 1-delta] so that logarithmically singular integrands become
+admissible.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ class SingularPointHitError(ValueError):
 
 
 class PointOutsideBoxError(ValueError):
-    """A sequence point lies outside [delta, 1-delta]^d."""
+    """A sequence point lies outside [delta, 1-delta]."""
 
 
 class NonConvergenceError(ArithmeticError):
@@ -38,6 +39,10 @@ class NonConvergenceError(ArithmeticError):
 
 _EXACT_LIMIT_1D = 100_000
 _EXACT_LIMIT_2D = 4000
+# total_variation refines its grid until the estimate moves by less than
+# _VARIATION_TOL, from 1024 up to _VARIATION_MAX_POINTS intervals
+_VARIATION_TOL = 1e-6
+_VARIATION_MAX_POINTS = 2 ** 22
 
 
 @dataclass(frozen=True)
@@ -66,26 +71,6 @@ class FiniteTypeCertificate:
     gamma: float
     H_searched: int
     preset: bool
-
-
-@dataclass(frozen=True)
-class DiscrepancyReport:
-    n: int
-    d: int
-    exact_value: float
-    etk_bound: float | None = None
-    kh_error_bound: float | None = None
-    delta: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "exact": self.exact_value,
-            "etk": self.etk_bound,
-            "kh_bound": self.kh_error_bound,
-            "delta": self.delta,
-        }
 
 
 # Quadratic irrationals have exponent 1; the pair (sqrt2, sqrt3) shows
@@ -209,16 +194,12 @@ def star_discrepancy_grid_oracle(seq: PointSequence, grid_resolution: int) -> fl
 
 
 def _lattice_points(d: int, H: int) -> np.ndarray:
-    """All q in Z^d with 0 < ||q||_inf <= H."""
-    if d == 1:
-        q = np.concatenate([np.arange(-H, 0), np.arange(1, H + 1)])
-        return q[:, None]
-    if d == 2:
-        a = np.arange(-H, H + 1)
-        Q1, Q2 = np.meshgrid(a, a, indexing="ij")
-        q = np.stack([Q1.ravel(), Q2.ravel()], axis=1)
-        return q[(q != 0).any(axis=1)]
-    raise DimensionUnsupportedError("lattice enumeration supports d in {1, 2}")
+    """All q in Z^d with 0 < ||q||_inf <= H, in lexicographic order."""
+    if d not in (1, 2):
+        raise DimensionUnsupportedError("lattice enumeration supports d in {1, 2}")
+    a = np.arange(-H, H + 1)
+    q = np.stack([g.ravel() for g in np.meshgrid(*[a] * d, indexing="ij")], axis=1)
+    return q[(q != 0).any(axis=1)]
 
 
 def etk_bound(phis: float | tuple[float, ...], n: int, H: int) -> float:
@@ -303,8 +284,7 @@ def weighted_sum(h: Callable[[np.ndarray], np.ndarray], seq: PointSequence,
     return float(math.fsum(np.asarray(vals, dtype=float).tolist()) / seq.n)
 
 
-def total_variation(h: Callable[[np.ndarray], np.ndarray], interval: tuple[float, float],
-                    tol: float = 1e-6, max_points: int = 2 ** 22) -> float:
+def total_variation(h: Callable[[np.ndarray], np.ndarray], interval: tuple[float, float]) -> float:
     """Total variation on [a, b] by refining grid sums of |h(t_{i+1}) - h(t_i)|.
 
     Exact on each monotone piece once the grid separates the pieces, so
@@ -315,10 +295,10 @@ def total_variation(h: Callable[[np.ndarray], np.ndarray], interval: tuple[float
         raise ValueError("empty interval")
     m = 1024
     prev = -math.inf
-    while m <= max_points:
+    while m <= _VARIATION_MAX_POINTS:
         t = np.linspace(a, b, m + 1)
         v = float(np.abs(np.diff(h(t))).sum())
-        if v - prev < tol:
+        if v - prev < _VARIATION_TOL:
             return v
         prev = v
         m *= 2
@@ -326,50 +306,19 @@ def total_variation(h: Callable[[np.ndarray], np.ndarray], interval: tuple[float
 
 
 def kh_error_bound(h: Callable[[np.ndarray], np.ndarray], seq: PointSequence,
-                   delta: float, variation: float | None = None,
-                   h2: Callable[[np.ndarray], np.ndarray] | None = None) -> float:
-    """Extended Koksma-Hlawka bound on [delta, 1-delta]^d, d in {1, 2}.
+                   delta: float) -> float:
+    """Extended Koksma-Hlawka bound on [delta, 1-delta], d = 1:
 
-    d = 1: delta * (|h(delta)| + |h(1-delta)|) + D_n^* * V(h | [delta, 1-delta]).
-    d = 2 applies to product integrands h(u) * h2(v); face terms use the
-    one-dimensional factors and the Vitali variation factors as
-    V(h) * V(h2).  Absolute values are used in the face terms, which is
-    the conservative form an error bound requires.
+    delta * (|h(delta)| + |h(1-delta)|) + D_n^* * V(h | [delta, 1-delta]).
     """
+    if seq.d != 1:
+        raise DimensionUnsupportedError("kh_error_bound supports d = 1")
     if not 0.0 <= delta < 0.5:
         raise ValueError("delta must lie in [0, 0.5)")
     lo, hi = delta, 1.0 - delta
     if seq.points.min() < lo or seq.points.max() > hi:
-        raise PointOutsideBoxError("sequence points must lie inside [delta, 1-delta]^d")
-    if seq.d == 1:
-        V = total_variation(h, (lo, hi)) if variation is None else variation
-        D = star_discrepancy_exact(seq)
-        edge = abs(float(h(np.array([lo]))[0])) + abs(float(h(np.array([hi]))[0]))
-        return delta * edge + D * V
-    if seq.d == 2:
-        if h2 is None:
-            raise ValueError("d = 2 requires the second product factor h2")
-        V1 = total_variation(h, (lo, hi))
-        V2 = total_variation(h2, (lo, hi))
-        grid = np.linspace(lo, hi, 4097)
-        int1 = float(np.trapezoid(np.abs(h(grid)), grid))
-        int2 = float(np.trapezoid(np.abs(h2(grid)), grid))
-        habs = lambda t: np.abs(h(t))
-        h2abs = lambda t: np.abs(h2(t))
-        corners = [habs(np.array([lo]))[0], habs(np.array([hi]))[0]]
-        corners2 = [h2abs(np.array([lo]))[0], h2abs(np.array([hi]))[0]]
-        corner_sum = sum(c1 * c2 for c1 in corners for c2 in corners2)
-        # Face-integral terms: the 4 edges at weight delta and the 4
-        # corners at weight delta^2.
-        face_terms = delta * 2.0 * (int1 * max(corners2) + int2 * max(corners))
-        face_terms += delta ** 2 * corner_sum
-        # Discrepancy terms: marginals on the two positive edges plus the
-        # full 2-D box with the Vitali variation.
-        seq1 = PointSequence(1, seq.points[:, :1])
-        seq2 = PointSequence(1, seq.points[:, 1:])
-        D1 = star_discrepancy_exact(seq1)
-        D2 = star_discrepancy_exact(seq2)
-        D12 = star_discrepancy_exact(seq)
-        edge_var = D1 * V1 * max(corners2) + D2 * V2 * max(corners)
-        return face_terms + edge_var + D12 * V1 * V2
-    raise DimensionUnsupportedError("kh_error_bound supports d in {1, 2}")
+        raise PointOutsideBoxError("sequence points must lie inside [delta, 1-delta]")
+    V = total_variation(h, (lo, hi))
+    D = star_discrepancy_exact(seq)
+    edge = abs(float(h(np.array([lo]))[0])) + abs(float(h(np.array([hi]))[0]))
+    return delta * edge + D * V

@@ -22,6 +22,11 @@ class QuadratureError(ArithmeticError):
     """Tanh-sinh refinement did not reach the target tolerance."""
 
 
+_TARGET_TOL = 1e-10  # relative level-to-level change that ends a refinement
+_MAX_LEVEL = 12      # finest tanh-sinh level: 2^13 + 1 nodes per segment
+_JUMP_GRID = 4096    # grid points scanned for jumps of arg(f)
+
+
 @dataclass(frozen=True)
 class LimitConstants:
     m_R: float
@@ -56,8 +61,7 @@ class CovarianceSpec:
                 "re_im": self.re_im.tolist(), "im_im": self.im_im.tolist()}
 
 
-def _tanh_sinh_segment(u: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                       target_tol: float, max_level: int = 12) -> float:
+def _tanh_sinh_segment(u: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
     """Integrate u over (a, b) with the double-exponential transformation.
 
     Nodes are kept strictly inside the interval by tracking their distance
@@ -68,7 +72,7 @@ def _tanh_sinh_segment(u: Callable[[np.ndarray], np.ndarray], a: float, b: float
     t_max = 4.0  # exp(pi/2*sinh(4)) ~ 1e18: node distance below double eps
     prev = None
     prev_diff = math.inf
-    for level in range(3, max_level + 1):
+    for level in range(3, _MAX_LEVEL + 1):
         h = t_max / 2 ** level
         t = np.arange(-2 ** level, 2 ** level + 1) * h
         s = np.sinh(t)
@@ -85,7 +89,7 @@ def _tanh_sinh_segment(u: Callable[[np.ndarray], np.ndarray], a: float, b: float
         est = half * h * float(np.sum(vals * w[keep]))
         if prev is not None:
             diff = abs(est - prev)
-            if diff <= target_tol * max(1.0, abs(est)):
+            if diff <= _TARGET_TOL * max(1.0, abs(est)):
                 return est
             # Rounding noise in the integrand near singular endpoints puts
             # a floor under the refinement; once the level-to-level change
@@ -99,31 +103,30 @@ def _tanh_sinh_segment(u: Callable[[np.ndarray], np.ndarray], a: float, b: float
 
 def singular_quadrature(u: Callable[[np.ndarray], np.ndarray],
                         singular_angles: tuple[float, ...] = (),
-                        target_tol: float = 1e-10,
                         interval: tuple[float, float] = (0.0, 1.0)) -> float:
-    """Integral of u over [0, 1] split at its declared singular angles."""
+    """Integral of u over the interval, split at its declared singular angles."""
     a, b = interval
     cuts = sorted({a, b} | {s for s in singular_angles if a < s < b})
     total = 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        total += _tanh_sinh_segment(u, lo, hi, target_tol)
+        total += _tanh_sinh_segment(u, lo, hi)
     return total
 
 
-def _arg_jump_angles(f: SpectralFunction, grid_size: int = 4096) -> tuple[float, ...]:
+def _arg_jump_angles(f: SpectralFunction) -> tuple[float, ...]:
     """Angles where arg(f) jumps, located by scanning a fine grid.
 
     Jump discontinuities appear at zeros of f and where f crosses the
     negative real axis; both show up as large steps of arg on the grid.
     """
-    phi = (np.arange(grid_size) + 0.5) / grid_size
+    phi = (np.arange(_JUMP_GRID) + 0.5) / _JUMP_GRID
     args = np.angle(f.on_circle(phi))
     steps = np.abs(np.diff(args))
     jumps = np.flatnonzero(steps > 1.0)
     return tuple((phi[j] + phi[j + 1]) / 2.0 for j in jumps)
 
 
-def limit_constants(f: SpectralFunction, target_tol: float = 1e-10) -> LimitConstants:
+def limit_constants(f: SpectralFunction) -> LimitConstants:
     """All four one-point constants by singular quadrature.
 
     m_R + i m_I = integral of log f over the circle (principal branch
@@ -133,10 +136,10 @@ def limit_constants(f: SpectralFunction, target_tol: float = 1e-10) -> LimitCons
     arg = lambda phi: np.angle(f.on_circle(phi))
     zeros = f.zero_angles
     jump_angles = zeros + _arg_jump_angles(f)
-    m_R = singular_quadrature(log_abs, zeros, target_tol)
-    m_I = singular_quadrature(arg, jump_angles, target_tol)
-    V_R = singular_quadrature(lambda p: log_abs(p) ** 2, zeros, target_tol)
-    V_I = singular_quadrature(lambda p: arg(p) ** 2, jump_angles, target_tol)
+    m_R = singular_quadrature(log_abs, zeros)
+    m_I = singular_quadrature(arg, jump_angles)
+    V_R = singular_quadrature(lambda p: log_abs(p) ** 2, zeros)
+    V_I = singular_quadrature(lambda p: arg(p) ** 2, jump_angles)
     return LimitConstants(m_R=m_R, m_I=m_I, V_R=V_R, V_I=V_I)
 
 

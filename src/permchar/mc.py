@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +52,6 @@ class ExperimentResult:
     cov: np.ndarray | None       # (2d, 2d) empirical covariance
     ks: np.ndarray | None        # (2d,) KS distance to N(0,1) per coordinate
     singular_rejections: int
-    wall_time: float
 
     def to_dict(self) -> dict:
         return {
@@ -68,8 +66,6 @@ class ExperimentResult:
             "var": _tolist(self.var),
             "cov": _tolist(self.cov),
             "ks": _tolist(self.ks),
-            # wall_time intentionally omitted: the JSON form must be a pure
-            # function of the config so reruns are byte-identical
             "singular_rejections": self.singular_rejections,
         }
 
@@ -150,7 +146,10 @@ def _is_finite_real(value) -> bool:
             and math.isfinite(value))
 
 
-def validate_config(cfg: ExperimentConfig) -> None:
+def validate_config(cfg: ExperimentConfig) -> tuple[list[classfuncs.SpectralFunction],
+                                                     MultiplierModel | None]:
+    """Check every field; return the spectral functions and the multiplier
+    model of the run, so that every config error is raised here."""
     # n >= 2 keeps log n > 0 in the normalization
     if not (_is_int(cfg.n) and cfg.n >= 2):
         raise RegimeViolationError(f"n must be an integer >= 2, got {cfg.n!r}")
@@ -172,24 +171,19 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise RegimeViolationError(f"kind must be one of {_KINDS}")
     if cfg.centering not in _CENTERINGS:
         raise RegimeViolationError(f"centering must be one of {_CENTERINGS}")
-    if cfg.kind != "total-cycles":
-        if not cfg.points:
-            raise RegimeViolationError("at least one evaluation point required")
-        if len(set(cfg.points)) != len(cfg.points):
-            raise RegimeViolationError("points must be pairwise distinct")
-        mtype = cfg.model_spec.get("type")
-        if mtype in ("trivial", "discrete"):
-            _require_finite_type(cfg.points)
-        # build what run_experiment builds, so every config error is raised here
-        _functions(cfg)
-        model_from_spec(cfg.model_spec)
-
-
-def _functions(cfg: ExperimentConfig) -> list[classfuncs.SpectralFunction]:
+    if cfg.kind == "total-cycles":
+        return [], None
+    if not cfg.points:
+        raise RegimeViolationError("at least one evaluation point required")
+    if len(set(cfg.points)) != len(cfg.points):
+        raise RegimeViolationError("points must be pairwise distinct")
+    if cfg.model_spec.get("type") in ("trivial", "discrete"):
+        _require_finite_type(cfg.points)
     labels = cfg.function_labels or tuple("charpoly" for _ in cfg.points)
     if len(labels) != len(cfg.points):
         raise RegimeViolationError("need one function label per point")
-    return [classfuncs.spectral_function_by_label(lb) for lb in labels]
+    return ([classfuncs.spectral_function_by_label(lb) for lb in labels],
+            model_from_spec(cfg.model_spec))
 
 
 def _sample_cycle_groups(chain: FellerChain, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -219,18 +213,9 @@ def _eval_sample(cfg: ExperimentConfig, fs, model, chain: FellerChain,
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run the configured experiment; deterministic given the config."""
-    t0 = time.monotonic()
-    validate_config(cfg)
-    theta = EwensParameter(cfg.theta)
-    chain = FellerChain(cfg.n, theta)
-    d = max(1, len(cfg.points))
-    if cfg.kind == "total-cycles":
-        fs, model = [], None
-        width = 2
-    else:
-        fs = _functions(cfg)
-        model = model_from_spec(cfg.model_spec)
-        width = 2 * d
+    fs, model = validate_config(cfg)
+    chain = FellerChain(cfg.n, EwensParameter(cfg.theta))
+    width = 2 * max(1, len(fs))  # total-cycles: (count, 0)
     raw = np.empty((cfg.num_samples, width))
     rejections = 0
     max_rejections = max(1, int(_SINGULAR_CAP * cfg.num_samples))
@@ -257,14 +242,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         ks = np.array([ks_statistic(samples[:, j]) for j in range(width)])
     return ExperimentResult(config=cfg, samples=samples, raw_mean=raw_mean,
                             mean=mean, var=var, cov=cov, ks=ks,
-                            singular_rejections=rejections,
-                            wall_time=time.monotonic() - t0)
+                            singular_rejections=rejections)
 
 
 def _normalize(cfg: ExperimentConfig, fs, raw: np.ndarray) -> np.ndarray:
-    if cfg.kind == "total-cycles":
-        return raw.copy()
-    d = len(cfg.points)
+    # total-cycles has no functions: its counts pass through as they are
+    d = len(fs)
     out = raw.copy()
     for j, f in enumerate(fs):
         consts = limits.limit_constants(f)

@@ -232,6 +232,16 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
                  "cannot write output")
         rejected(["clt", "--config", _clt_config(tmp_path), "--dump-samples", target],
                  "cannot write output")
+    # the version is the integer 1: true and 1.0 only compare equal to it
+    for version in (True, 1.0):
+        rejected(["clt", "--config", _clt_config(tmp_path, version=version)], "config version")
+    # one file for both outputs would hold the dump followed by the result
+    same = tmp_path / "same.out"
+    (tmp_path / "link").symlink_to(tmp_path)
+    for other in (same, tmp_path / "link" / "same.out"):
+        rejected(["clt", "--config", _clt_config(tmp_path), "--output", str(same),
+                  "--dump-samples", str(other)], "same file")
+        assert not same.exists()
 
 
 def test_clt_opens_outputs_before_the_run(tmp_path, capsys, monkeypatch):

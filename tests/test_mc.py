@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from permchar import mc
+from permchar import classfuncs, mc
+from permchar.ewens import EwensParameter, FellerChain
 
 SQRT2 = math.sqrt(2.0) % 1.0
 SQRT3 = math.sqrt(3.0) % 1.0
@@ -143,6 +144,53 @@ def test_singular_counter_zero_in_regular_regime():
                               master_seed=8)
     r = mc.run_experiment(cfg)
     assert r.singular_rejections == 0
+
+
+def test_singular_sample_is_redrawn_from_the_retry_stream(monkeypatch):
+    cfg = mc.ExperimentConfig(n=200, theta=1.0, points=(SQRT2, SQRT3), kind="w2",
+                              model_spec={"type": "uniform"}, num_samples=20, master_seed=4)
+    clean = mc.run_experiment(cfg)
+    fs, model = mc.validate_config(cfg)
+    chain = FellerChain(cfg.n, EwensParameter(cfg.theta))
+    raw0 = mc._eval_sample(cfg, fs, model, chain, mc.derive_stream(cfg.master_seed, 0, 1))
+    log_sums = classfuncs.log_sums
+    calls = []
+
+    def singular_once(*args):
+        calls.append(None)
+        if len(calls) == 1:  # the first draw of sample 0
+            raise classfuncs.SingularSampleError("patched")
+        return log_sums(*args)
+
+    monkeypatch.setattr(classfuncs, "log_sums", singular_once)
+    r = mc.run_experiment(cfg)
+    assert r.singular_rejections == 1
+    assert np.array_equal(r.samples[1:], clean.samples[1:])
+    assert np.array_equal(r.samples[0], mc._normalize(cfg, fs, raw0[None, :])[0])
+    assert not np.array_equal(r.samples[0], clean.samples[0])
+
+
+def test_singular_rate_above_the_cap_is_a_regime_violation(monkeypatch):
+    cfg = mc.ExperimentConfig(n=50, theta=1.0, points=(SQRT2,), num_samples=10, master_seed=2)
+    calls = []
+
+    def always_singular(*args):
+        calls.append(None)
+        raise classfuncs.SingularSampleError("patched")
+
+    monkeypatch.setattr(classfuncs, "log_sums", always_singular)
+    with pytest.raises(mc.RegimeViolationError, match="singular-sample rate"):
+        mc.run_experiment(cfg)
+    assert len(calls) == 2  # the cap is max(1, 0.1% of 10 samples) = 1 rejection
+
+
+def test_empirical_centering_subtracts_the_column_means():
+    base = dict(n=300, theta=1.3, points=(SQRT2, SQRT3), kind="logZ",
+                model_spec={"type": "uniform"}, num_samples=50, master_seed=11)
+    none = mc.run_experiment(mc.ExperimentConfig(**base, centering="none")).samples
+    emp = mc.run_experiment(mc.ExperimentConfig(**base, centering="empirical")).samples
+    assert np.allclose(emp, none - none.mean(axis=0), rtol=0.0, atol=1e-12)
+    assert np.abs(emp.mean(axis=0)).max() <= 1e-12
 
 
 def test_variance_trend_at_n_1000():
