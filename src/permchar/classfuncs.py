@@ -27,8 +27,9 @@ class SingularSampleError(ArithmeticError):
 class SpectralFunction:
     """Function on the unit circle together with its zero angles.
 
-    The zero angles are needed by quadrature split points and by the
-    singular-sample guard; they cannot be recovered from the callable.
+    The zero angles are the split points of the limit-constant quadrature;
+    they cannot be recovered from the callable.  (The singular-sample guard
+    of log_sums tests the values themselves for exact zeros.)
     """
 
     eval: Callable[[np.ndarray], np.ndarray]

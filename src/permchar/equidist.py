@@ -266,7 +266,7 @@ def certificate_holds(cert: FiniteTypeCertificate, phis: float | tuple[float, ..
 
 
 def weighted_sum(h: Callable[[np.ndarray], np.ndarray], seq: PointSequence,
-                 singular_angles: tuple[float, ...] = ()) -> complex | float:
+                 singular_angles: tuple[float, ...] = ()) -> float:
     """(1/n) sum of h over the sequence points (d = 1).
 
     Raises if any point coincides with a declared singular angle of h.
@@ -277,11 +277,7 @@ def weighted_sum(h: Callable[[np.ndarray], np.ndarray], seq: PointSequence,
     for s in singular_angles:
         if np.any(np.abs(pts - s) < 1e-15):
             raise SingularPointHitError(f"sequence point hits singular angle {s}")
-    vals = h(pts)
-    if np.iscomplexobj(vals):
-        return complex(math.fsum(vals.real.tolist()) / seq.n,
-                       math.fsum(vals.imag.tolist()) / seq.n)
-    return float(math.fsum(np.asarray(vals, dtype=float).tolist()) / seq.n)
+    return float(math.fsum(np.asarray(h(pts), dtype=float).tolist()) / seq.n)
 
 
 def total_variation(h: Callable[[np.ndarray], np.ndarray], interval: tuple[float, float]) -> float:

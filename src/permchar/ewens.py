@@ -2,9 +2,11 @@
 
 The Feller coupling builds the cycle counts of an Ewens(theta) permutation
 and their Poisson limits from a single chain of independent Bernoulli bits,
-which lets us compare the two pathwise.  `FellerChain` reads a chain
-CHUNK uniforms at a time and keeps only the positions of its ones; the dense
-chain (`sample_feller_chain`, read by `cycle_groups`) is its test oracle.
+which lets us compare the two pathwise.  A chain is read as the positions of
+its ones: `FellerChain.ones` draws them CHUNK uniforms at a time, and every
+consumer reads them through one of two readers, `cycle_groups` (the cycle
+lengths) or `poisson_counts` (the Poisson spacings).  The dense chain,
+`sample_feller_chain`, is FellerChain's first chunk and its test oracle.
 The Chinese restaurant process provides a second, independent sampler
 producing the explicit permutation the oracles need.
 """
@@ -143,20 +145,6 @@ def sample_feller_chain(p: np.ndarray, stream: np.random.Generator) -> np.ndarra
     return bits
 
 
-def cycle_groups(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cycle lengths and multiplicities: the m-spacings of 1 xi_2 ... xi_n 1.
-
-    A gap of length m between consecutive ones of the extended chain
-    contributes one cycle of length m; the appended 1 supplies the
-    boundary term, so the gap lengths sum to n exactly.
-    """
-    return _gap_groups(np.flatnonzero(bits), len(bits))
-
-
-def _gap_groups(ones: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.unique(np.diff(np.append(ones, n)), return_counts=True)
-
-
 class FellerChain:
     """The Feller chain of length n, read CHUNK uniforms at a time.
 
@@ -189,9 +177,29 @@ class FellerChain:
             parts.append(cand[u[cand] < t / (t + i - 1.0)] + s)
         return np.concatenate(parts)
 
-    def cycle_groups(self, stream: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """Cycle lengths and multiplicities of one chain draw, as `cycle_groups`."""
-        return _gap_groups(self.ones(stream), self.n)
+
+def cycle_groups(ones: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cycle lengths and multiplicities: the m-spacings of 1 xi_2 ... xi_n 1.
+
+    `ones` holds the positions of the ones of xi_1..xi_n, as FellerChain.ones
+    returns them.  A gap of length m between consecutive ones of the
+    extended chain contributes one cycle of length m; the appended 1 at
+    position n supplies the boundary term, so the gap lengths sum to n.
+    """
+    return np.unique(np.diff(np.append(ones, n)), return_counts=True)
+
+
+def poisson_counts(ones: np.ndarray, horizon: int, m_max: int) -> tuple[int, ...]:
+    """Estimated Y_1..Y_{m_max}: m-spacings within a chain of length `horizon`,
+    no appended 1; `ones` are the positions of its ones.
+
+    Only spacings that close with a 1 inside the horizon are counted, so
+    each count is biased low by O(m / horizon).
+    """
+    if horizon < 2 * m_max:
+        raise HorizonTooSmallError(f"horizon {horizon} < 2*m_max = {2 * m_max}")
+    gaps = np.diff(ones)
+    return tuple(np.bincount(gaps[gaps <= m_max], minlength=m_max + 1)[1:].tolist())
 
 
 def cycle_counts_from_groups(n: int, lengths: np.ndarray, mults: np.ndarray) -> CycleType:
@@ -199,23 +207,6 @@ def cycle_counts_from_groups(n: int, lengths: np.ndarray, mults: np.ndarray) -> 
     counts = np.zeros(n, dtype=int)
     counts[lengths - 1] = mults
     return CycleType(n, tuple(counts.tolist()))
-
-
-def cycle_counts_from_chain(bits: np.ndarray) -> CycleType:
-    """Counts (c_1, ..., c_n) of the cycle type that `cycle_groups` reads."""
-    return cycle_counts_from_groups(len(bits), *cycle_groups(bits))
-
-
-def poisson_counts_from_chain(bits: np.ndarray, m_max: int) -> tuple[int, ...]:
-    """Estimated Y_1..Y_{m_max}: m-spacings within the chain, no appended 1.
-
-    Only spacings that close with a 1 inside the horizon are counted, so
-    each count is biased low by O(m / horizon).
-    """
-    if len(bits) < 2 * m_max:
-        raise HorizonTooSmallError(f"horizon {len(bits)} < 2*m_max = {2 * m_max}")
-    gaps = np.diff(np.flatnonzero(bits))
-    return tuple(np.bincount(gaps, minlength=m_max + 1)[1:m_max + 1].tolist())
 
 
 def sample_permutation_crp(n: int, theta: EwensParameter, stream: np.random.Generator) -> Permutation:
@@ -253,7 +244,7 @@ def esf_probability(ct: CycleType, theta: EwensParameter) -> float:
 
 def _cycle_count_rows(bits: np.ndarray) -> np.ndarray:
     """Row r of the result is the counts c_1..c_n that `cycle_groups` reads
-    from the chain bits[r]; `bits` has shape (N, n) with bits[:, 0] set."""
+    from the ones of the chain bits[r]; `bits` has shape (N, n) with bits[:, 0] set."""
     N, n = bits.shape
     rows, starts = np.nonzero(bits)
     # a cycle runs from each 1 to the next 1 of its row, or to the end n
@@ -263,7 +254,7 @@ def _cycle_count_rows(bits: np.ndarray) -> np.ndarray:
 
 
 def exact_feller_distribution(n: int, theta: EwensParameter) -> dict[CycleType, float]:
-    """Exact law of cycle_counts_from_chain by enumerating all 2^(n-1) chains.
+    """Exact law of the chain's cycle type by enumerating all 2^(n-1) chains.
 
     The chains are the rows of one array in itertools.product order; each
     cycle type sums its rows' probabilities in that order and is keyed in
@@ -302,8 +293,8 @@ def feller_coupling_gap(n: int, theta: EwensParameter, m: int, num_samples: int,
                         stream: np.random.Generator) -> float:
     """Monte Carlo estimate of E|C_m - Y_m| using one chain for both counts.
 
-    C_m reads the first n bits of the chain, Y_m all max(10 n, 2 m) of them
-    (the m-spacings of the chain itself, as poisson_counts_from_chain).
+    C_m reads the first n bits of the chain (cycle_groups), Y_m all
+    max(10 n, 2 m) of them (poisson_counts).
     """
     if not (1 <= m <= n) or num_samples < 1:
         raise ValueError("need 1 <= m <= n and num_samples >= 1")
@@ -311,7 +302,7 @@ def feller_coupling_gap(n: int, theta: EwensParameter, m: int, num_samples: int,
     total = 0
     for _ in range(num_samples):
         ones = chain.ones(stream)
-        c_m = np.count_nonzero(np.diff(np.append(ones[ones < n], n)) == m)
-        y_m = np.count_nonzero(np.diff(ones) == m)
-        total += abs(int(c_m) - int(y_m))
+        lengths, mults = cycle_groups(ones[ones < n], n)
+        c_m = int(mults[lengths == m].sum())
+        total += abs(c_m - poisson_counts(ones, chain.n, m)[m - 1])
     return total / num_samples

@@ -24,7 +24,6 @@ class QuadratureError(ArithmeticError):
 
 _TARGET_TOL = 1e-10  # relative level-to-level change that ends a refinement
 _MAX_LEVEL = 12      # finest tanh-sinh level: 2^13 + 1 nodes per segment
-_JUMP_GRID = 4096    # grid points scanned for jumps of arg(f)
 
 
 @dataclass(frozen=True)
@@ -113,33 +112,21 @@ def singular_quadrature(u: Callable[[np.ndarray], np.ndarray],
     return total
 
 
-def _arg_jump_angles(f: SpectralFunction) -> tuple[float, ...]:
-    """Angles where arg(f) jumps, located by scanning a fine grid.
-
-    Jump discontinuities appear at zeros of f and where f crosses the
-    negative real axis; both show up as large steps of arg on the grid.
-    """
-    phi = (np.arange(_JUMP_GRID) + 0.5) / _JUMP_GRID
-    args = np.angle(f.on_circle(phi))
-    steps = np.abs(np.diff(args))
-    jumps = np.flatnonzero(steps > 1.0)
-    return tuple((phi[j] + phi[j + 1]) / 2.0 for j in jumps)
-
-
 def limit_constants(f: SpectralFunction) -> LimitConstants:
     """All four one-point constants by singular quadrature.
 
     m_R + i m_I = integral of log f over the circle (principal branch
-    termwise); V_R integrates log^2|f|, V_I integrates arg^2(f).
+    termwise); V_R integrates log^2|f|, V_I integrates arg^2(f).  Each is cut
+    at the zeros of f only: away from them every function of
+    spectral_function_by_label has Re f >= 0 or a constant arg, so no jump.
     """
     log_abs = lambda phi: np.log(np.abs(f.on_circle(phi)))
     arg = lambda phi: np.angle(f.on_circle(phi))
     zeros = f.zero_angles
-    jump_angles = zeros + _arg_jump_angles(f)
     m_R = singular_quadrature(log_abs, zeros)
-    m_I = singular_quadrature(arg, jump_angles)
+    m_I = singular_quadrature(arg, zeros)
     V_R = singular_quadrature(lambda p: log_abs(p) ** 2, zeros)
-    V_I = singular_quadrature(lambda p: arg(p) ** 2, jump_angles)
+    V_I = singular_quadrature(lambda p: arg(p) ** 2, zeros)
     return LimitConstants(m_R=m_R, m_I=m_I, V_R=V_R, V_I=V_I)
 
 
@@ -161,7 +148,7 @@ def covariance_matrix(fs: list[SpectralFunction], theta: float) -> CovarianceSpe
         im_im[j, j] = theta * consts[j].V_I
         cross = singular_quadrature(
             lambda p, f=fs[j]: np.log(np.abs(f.on_circle(p))) * np.angle(f.on_circle(p)),
-            fs[j].zero_angles + _arg_jump_angles(fs[j]))
+            fs[j].zero_angles)
         re_im[j, j] = theta * cross
     return CovarianceSpec(d=d, re_re=re_re, re_im=re_im, im_im=im_im)
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import classfuncs, limits
 from .equidist import finite_type_estimate
-from .ewens import EwensParameter, FellerChain
+from .ewens import EwensParameter, FellerChain, cycle_groups
 from .multipliers import (DiscreteRoots, FourierDensity, MultiplierModel, Trivial, Uniform)
 
 _KINDS = ("logZ", "w1", "w2", "total-cycles")
@@ -90,6 +90,11 @@ def model_from_spec(spec: dict) -> MultiplierModel:
         rho = spec.get("rho")
         if not (_is_int(rho) and rho >= 1):
             raise RegimeViolationError(f"discrete rho must be an integer >= 1, got {rho!r}")
+        for key in ("probs", "coeffs"):
+            table = spec.get(key)
+            if table is not None and not (isinstance(table, (list, tuple)) and len(table) == rho
+                                          and all(map(_is_finite_real, table))):
+                raise RegimeViolationError(f"discrete {key} must list {rho} finite reals, got {table!r}")
         return DiscreteRoots(rho, probs=spec.get("probs"), coeffs=spec.get("coeffs"))
     raise RegimeViolationError(f"unknown model type {spec.get('type')!r}")
 
@@ -190,7 +195,7 @@ def _sample_cycle_groups(chain: FellerChain, rng: np.random.Generator) -> tuple[
     """Cycle lengths and multiplicities of one Feller-chain draw."""
     # kept as a function of its own: perfbench's tracer counts ewens.cycles
     # by the qualified name mc._sample_cycle_groups
-    return chain.cycle_groups(rng)
+    return cycle_groups(chain.ones(rng), chain.n)
 
 
 def _eval_sample(cfg: ExperimentConfig, fs, model, chain: FellerChain,

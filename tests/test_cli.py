@@ -60,6 +60,22 @@ def test_sample_csv_format(capsys):
     assert lines[0] == "sample_index,cycle_length,count"
 
 
+def test_sample_csv_rows_are_the_nonzero_json_counts(capsys):
+    # one chunk of the chain and more than one (n > 2^16)
+    for n, theta, seed in ((6, 1.0, 1), (300, 0.7, 4), (70_000, 2.5, 9)):
+        argv = ["sample", "--n", str(n), "--theta", str(theta), "--count", "3", "--seed", str(seed)]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        want = [[str(row["sample_index"]), str(m), str(c)]
+                for row in json.loads(out)["samples"]
+                for m, c in enumerate(row["cycle_counts"], start=1) if c]
+        code, out, _ = run(capsys, argv + ["--format", "csv"])
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "sample_index,cycle_length,count"
+        assert [line.split(",") for line in lines[1:]] == want
+
+
 def test_clt_minimal_config(tmp_path, capsys):
     cfg = {"version": 1, "n": 50, "theta": 1.0, "points": [math.sqrt(2) % 1],
            "kind": "logZ", "model_spec": {"type": "uniform"},
@@ -210,6 +226,11 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
             (dict(model_spec={"type": "fourier", "coeffs": {"1": [0.3]}}), "coefficient"),
             (dict(model_spec={"type": "discrete", "rho": 2.5, "probs": [0.5, 0.5]}), "rho"),
             (dict(model_spec={"type": "discrete", "rho": 2}), "probs or coeffs"),
+            # a nested, NaN or keyed table is not a law on the rho roots
+            (dict(model_spec={"type": "discrete", "rho": 2, "probs": [[0.3], [0.7]]}), "probs"),
+            (dict(model_spec={"type": "discrete", "rho": 2, "probs": [math.nan, 1.0]}), "probs"),
+            (dict(model_spec={"type": "discrete", "rho": 1, "probs": {"a": 1}}), "probs"),
+            (dict(model_spec={"type": "discrete", "rho": 1, "coeffs": {"a": 1}}), "coeffs"),
             (dict(function_labels=["const:nan"]), "const:nan")):
         rejected(["clt", "--config", _clt_config(tmp_path, **overrides)], message)
     # a config that is not a JSON object, or cannot be read at all

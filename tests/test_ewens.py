@@ -34,20 +34,26 @@ def test_cycle_type_weight_invariant():
         CycleType(3, (-1, 2, 0))
 
 
-def test_cycle_counts_from_chain_identity_chain():
+def _chain_cycle_type(bits):
+    """The cycle type that cycle_groups reads from the ones of a dense chain."""
+    n = len(bits)
+    return ewens.cycle_counts_from_groups(n, *ewens.cycle_groups(np.flatnonzero(bits), n))
+
+
+def test_cycle_groups_identity_chain():
     # all ones -> n fixed points
     ones = np.ones(5, dtype=bool)
-    ct = ewens.cycle_counts_from_chain(ones)
+    ct = _chain_cycle_type(ones)
     assert ct.counts == (5, 0, 0, 0, 0)
-    lengths, mults = ewens.cycle_groups(ones)
+    lengths, mults = ewens.cycle_groups(np.flatnonzero(ones), 5)
     assert lengths.tolist() == [1] and mults.tolist() == [5]
 
     # single leading one -> one n-cycle
     bits = np.zeros(5, dtype=bool)
     bits[0] = True
-    ct = ewens.cycle_counts_from_chain(bits)
+    ct = _chain_cycle_type(bits)
     assert ct.counts == (0, 0, 0, 0, 1)
-    lengths, mults = ewens.cycle_groups(bits)
+    lengths, mults = ewens.cycle_groups(np.flatnonzero(bits), 5)
     assert lengths.tolist() == [5] and mults.tolist() == [1]
 
 
@@ -56,7 +62,7 @@ def test_sampled_cycle_counts_sum_to_n():
     p = ewens.chain_probabilities(30, EwensParameter(0.7))
     for _ in range(50):
         bits = ewens.sample_feller_chain(p, rng)
-        ct = ewens.cycle_counts_from_chain(bits)
+        ct = _chain_cycle_type(bits)
         assert sum(m * c for m, c in ct.nonzero()) == 30
         # reference reader: a cycle closes before each later 1 and at the end
         ref, start = [0] * 30, 0
@@ -114,7 +120,7 @@ def test_exact_feller_distribution_equals_chain_loop():
                 prob = 1.0
                 for i in range(1, n):
                     prob *= p[i] if bits[i] else (1.0 - p[i])
-                ct = ewens.cycle_counts_from_chain(bits)
+                ct = _chain_cycle_type(bits)
                 want[ct] = want.get(ct, 0.0) + prob
             got = ewens.exact_feller_distribution(n, t)
             assert list(got) == list(want)
@@ -129,7 +135,7 @@ def test_cycle_count_rows_agree_with_cycle_groups():
                         dtype=bool)
         rows = ewens._cycle_count_rows(bits)
         for chain, row in zip(bits, rows):
-            assert tuple(row.tolist()) == ewens.cycle_counts_from_chain(chain).counts
+            assert tuple(row.tolist()) == _chain_cycle_type(chain).counts
 
 
 def test_exact_feller_distribution_size_limit():
@@ -199,13 +205,13 @@ def test_crp_matches_esf_frequencies():
 
 def test_poisson_counts_horizon_guard():
     with pytest.raises(HorizonTooSmallError):
-        ewens.poisson_counts_from_chain(np.ones(10, dtype=bool), m_max=6)
+        ewens.poisson_counts(np.arange(10), 10, m_max=6)
 
 
 def test_poisson_counts_drops_boundary_spacing():
     # chain 1 0 0 1: one 3-spacing inside; no appended boundary 1
     bits = np.array([1, 0, 0, 1, 1, 0], dtype=bool)
-    assert ewens.poisson_counts_from_chain(bits, m_max=3) == (1, 0, 1)
+    assert ewens.poisson_counts(np.flatnonzero(bits), len(bits), m_max=3) == (1, 0, 1)
 
 
 def test_feller_coupling_gap_shrinks_with_n():
@@ -231,9 +237,9 @@ def test_feller_chain_reader_equals_dense_chain():
                 got = chain.ones(chunked)
                 assert got.dtype == want.dtype and np.array_equal(got, want), (n, t, seed)
                 assert chunked.random() == dense.random()
-                lengths, mults = chain.cycle_groups(np.random.default_rng(seed))
-                dense_lengths, dense_mults = ewens.cycle_groups(ewens.sample_feller_chain(
-                    p, np.random.default_rng(seed)))
+                lengths, mults = ewens.cycle_groups(chain.ones(np.random.default_rng(seed)), n)
+                dense_lengths, dense_mults = ewens.cycle_groups(np.flatnonzero(
+                    ewens.sample_feller_chain(p, np.random.default_rng(seed))), n)
                 assert np.array_equal(lengths, dense_lengths) and np.array_equal(mults, dense_mults)
 
 
@@ -243,9 +249,9 @@ def test_feller_coupling_gap_equals_dense_chain():
         total = 0
         for _ in range(num_samples):
             bits = ewens.sample_feller_chain(p, stream)
-            lengths, mults = ewens.cycle_groups(bits[:n])
+            lengths, mults = ewens.cycle_groups(np.flatnonzero(bits[:n]), n)
             c_m = int(mults[lengths == m].sum())
-            total += abs(c_m - ewens.poisson_counts_from_chain(bits, m)[m - 1])
+            total += abs(c_m - ewens.poisson_counts(np.flatnonzero(bits), len(bits), m)[m - 1])
         return total / num_samples
 
     # horizons 200 to 70,000: one chunk, and two
