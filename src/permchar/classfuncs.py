@@ -165,30 +165,3 @@ def sym_char_poly_matrix(perm: Permutation, x_real: float) -> float:
     S = sym_matrix(perm)
     S.flat[::perm.n + 1] -= x_real  # S - x I
     return float(np.linalg.det(S))
-
-
-def antisym_matrix(perm: Permutation) -> np.ndarray:
-    """2A = M - M^T for the plain permutation matrix M(sigma, 1)."""
-    return perm.matrix - perm.matrix.T
-
-
-def antisym_char_poly_matrix(perm: Permutation, x_real: float) -> float:
-    """det(2A - x I) by dense determinant; n <= 12."""
-    if perm.n > _DET_SIZE_LIMIT:
-        raise ValueError(f"dense determinant limited to n <= {_DET_SIZE_LIMIT}")
-    return float(np.linalg.det(antisym_matrix(perm) - x_real * np.eye(perm.n)))
-
-
-def antisym_eigen_product(perm: Permutation, x_real: float) -> float:
-    """det(2A - x I) from per-cycle eigenvalues 2i sin(2 pi k / m).
-
-    Each length-m cycle block of M - M^T has eigenvalues
-    2i sin(2 pi k / m), k = 0..m-1.  Used to arbitrate the stated but
-    underived antisymmetric-part product identity.
-    """
-    out = 1.0 + 0.0j
-    for m, c in perm.cycle_type().nonzero():
-        k = np.arange(m)
-        block = np.prod(2j * np.sin(2.0 * np.pi * k / m) - x_real)
-        out *= block ** c
-    return float(out.real)

@@ -20,38 +20,7 @@ _VALIDATION_GRID = 4096
 
 
 class InvalidCoefficientsError(ValueError):
-    """Fourier coefficients do not define a valid probability law."""
-
-
-def _probs_from_coeffs(coeffs: np.ndarray) -> np.ndarray:
-    """Probability table whose DFT is `coeffs`, by inverse DFT.
-
-    The table sums to the real part of the zeroth coefficient, which the
-    callers pin to 1; only rounding-level negatives are tolerated.
-    """
-    probs = np.fft.ifft(coeffs).real
-    if probs.min() < -1e-12:
-        raise InvalidCoefficientsError(f"negative probability {probs.min()}")
-    return np.clip(probs, 0.0, None)
-
-
-def discrete_probs_from_fourier(rho: int, coeffs: np.ndarray) -> np.ndarray:
-    """Probabilities P(z = e^{2 pi i k/rho}), k = 0..rho-1, by inverse DFT.
-
-    p_k = (1/rho) * sum_j c_j e^{2 pi i j k / rho}, requiring c_0 = 1 so
-    the probabilities sum to 1.
-    """
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if len(coeffs) != rho:
-        raise InvalidCoefficientsError("need exactly rho coefficients")
-    if abs(coeffs[0] - 1.0) > 1e-12:
-        raise InvalidCoefficientsError("c_0 must equal 1")
-    return _probs_from_coeffs(coeffs)
-
-
-def fourier_coeffs_from_probs(probs: np.ndarray) -> np.ndarray:
-    """Forward transform: c_j = sum_k p_k e^{-2 pi i j k / rho}."""
-    return np.fft.fft(np.asarray(probs, dtype=float))
+    """Coefficients or probabilities do not define a valid probability law."""
 
 
 @dataclass(frozen=True)
@@ -168,9 +137,11 @@ def convolved_density_coeffs(model: FourierDensity, m: int) -> dict[int, complex
 class DiscreteRoots:
     """Discrete z on the rho-th roots of unity.
 
-    Construct either from probabilities or from Fourier coefficients
-    (see discrete_probs_from_fourier).  T_m has coefficients coeffs**m, so
-    its probability table is their inverse DFT; sample_T caches its CDF per m.
+    Construct from probabilities p_k = P(z = e^{2 pi i k/rho}), k = 0..rho-1,
+    or from their DFT c_j = sum_k p_k e^{-2 pi i j k/rho}, which needs c_0 = 1
+    and Hermitian symmetry c_{rho-j} = conj(c_j) so that p is real.  The table
+    is checked here, once.  T_m has coefficients coeffs**m, so its table is
+    their inverse DFT; sample_T caches its CDF per m.
     """
 
     def __init__(self, rho: int, probs: np.ndarray | None = None,
@@ -178,20 +149,36 @@ class DiscreteRoots:
         if rho < 1:
             raise ValueError("rho must be >= 1")
         self.rho = rho
+        # every check below is written so that NaN fails it
         if probs is None:
             if coeffs is None:
                 raise ValueError("need probs or coeffs")
-            probs = discrete_probs_from_fourier(rho, np.asarray(coeffs))
+            coeffs = np.asarray(coeffs, dtype=complex)
+            if coeffs.shape != (rho,) or not abs(coeffs[0] - 1.0) <= 1e-12:
+                raise InvalidCoefficientsError(f"discrete coeffs must be {rho} values with c_0 = 1")
+            inverse = np.fft.ifft(coeffs)
+            if not np.abs(inverse.imag).max() <= 1e-12:
+                raise InvalidCoefficientsError("discrete coeffs must be Hermitian: "
+                                               "c_{rho-j} = conj(c_j), so the law is real")
+            if not inverse.real.min() >= -1e-12:
+                raise InvalidCoefficientsError(
+                    f"discrete coeffs give the negative probability {inverse.real.min()}")
+            probs = np.clip(inverse.real, 0.0, None)
         probs = np.asarray(probs, dtype=float)
-        if len(probs) != rho or probs.min() < 0 or abs(probs.sum() - 1.0) > 1e-12:
-            raise InvalidCoefficientsError("invalid probability vector")
+        if probs.shape != (rho,) or not (probs.min() >= 0 and abs(probs.sum() - 1.0) <= 1e-12):
+            raise InvalidCoefficientsError(
+                f"discrete probs must be {rho} nonnegative reals summing to 1")
         self.probs = probs
-        self.coeffs = fourier_coeffs_from_probs(probs)
+        self.coeffs = np.fft.fft(probs)
         self._cdfs: dict[int, np.ndarray] = {}
 
     def product_probs(self, m: int) -> np.ndarray:
-        """Law of T_m via c -> c^m."""
-        return self.probs if m == 1 else _probs_from_coeffs(self.coeffs ** m)
+        """Law of T_m via c -> c^m.
+
+        c^m of a checked law errs by O(m eps) only, so the inverse DFT is
+        clipped at 0 rather than checked again.
+        """
+        return self.probs if m == 1 else np.clip(np.fft.ifft(self.coeffs ** m).real, 0.0, None)
 
     def sample_T(self, m: int, stream: np.random.Generator, size: int) -> np.ndarray:
         # stream.choice(rho, size, p=product_probs(m)) by its own inversion

@@ -147,16 +147,17 @@ def test_sym_char_poly_matches_dense_det_exhaustive_n4():
             assert a == pytest.approx(b, abs=1e-9)
 
 
-def test_antisym_eigen_product_matches_dense_det():
-    rng = np.random.default_rng(5)
-    theta = EwensParameter(1.0)
-    for _ in range(20):
-        n = int(rng.integers(2, 9))
-        perm = sample_permutation_crp(n, theta, rng)
-        x = float(rng.uniform(-1.5, 1.5))
-        a = cf.antisym_eigen_product(perm, x)
-        b = cf.antisym_char_poly_matrix(perm, x)
-        assert a == pytest.approx(b, abs=1e-8)
+def test_sym_part_log_sums_match_dense_det_exhaustive():
+    # the production path (log_sums of sym_part with every angle 0) against
+    # the dense oracle: |det(S - x I)| at x = 2 cos(2 pi a), and a real log
+    for n in range(1, 7):
+        for perm in all_permutations(n):
+            lengths = [len(c) for c in perm.cycles()]
+            for a in (0.0123, 0.1, 0.2718, 0.37, 0.49):
+                real, imag = cf.log_sums([cf.sym_part()], [a], lengths, np.zeros(len(lengths)))
+                want = abs(cf.sym_char_poly_matrix(perm, 2.0 * math.cos(2.0 * math.pi * a)))
+                assert math.exp(real) == pytest.approx(want, rel=1e-9), (perm.images, a)
+                assert imag == pytest.approx(0.0, abs=1e-12), (perm.images, a)
 
 
 def test_multipoint_w_shapes_and_determinism():
@@ -210,7 +211,6 @@ def test_matrices_equal_entrywise_construction():
                 M[i - 1, j] = z[i - 1]
             assert np.array_equal(cf.permutation_matrix(perm, z[:n]), M)
             assert np.array_equal(cf.sym_matrix(perm), P + P.T)
-            assert np.array_equal(cf.antisym_matrix(perm), P - P.T)
             for x in (-1.5, 0.0, 0.7):
                 want = float(np.linalg.det(P + P.T - x * np.eye(n)))
                 assert cf.sym_char_poly_matrix(perm, x) == want

@@ -231,6 +231,8 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
             (dict(model_spec={"type": "discrete", "rho": 2, "probs": [math.nan, 1.0]}), "probs"),
             (dict(model_spec={"type": "discrete", "rho": 1, "probs": {"a": 1}}), "probs"),
             (dict(model_spec={"type": "discrete", "rho": 1, "coeffs": {"a": 1}}), "coeffs"),
+            # c_2 != conj(c_1): the inverse DFT is complex, not a law
+            (dict(model_spec={"type": "discrete", "rho": 3, "coeffs": [1, 0.5, 0]}), "coeffs"),
             (dict(function_labels=["const:nan"]), "const:nan")):
         rejected(["clt", "--config", _clt_config(tmp_path, **overrides)], message)
     # a config that is not a JSON object, or cannot be read at all

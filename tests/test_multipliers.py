@@ -8,17 +8,39 @@ from permchar.multipliers import (DiscreteRoots, FourierDensity, InvalidCoeffici
 
 def test_discrete_probs_roundtrip():
     probs = np.array([0.5, 0.3, 0.2])
-    coeffs = mult.fourier_coeffs_from_probs(probs)
+    coeffs = DiscreteRoots(3, probs=probs).coeffs
     assert coeffs[0] == pytest.approx(1.0)
-    back = mult.discrete_probs_from_fourier(3, coeffs)
+    back = DiscreteRoots(3, coeffs=coeffs).probs
     assert np.allclose(back, probs, atol=1e-12)
 
 
 def test_discrete_probs_validation():
-    with pytest.raises(InvalidCoefficientsError):
-        mult.discrete_probs_from_fourier(2, np.array([0.9, 0.0]))  # c_0 != 1
-    with pytest.raises(InvalidCoefficientsError):
-        mult.discrete_probs_from_fourier(2, np.array([1.0, 1.5]))  # negative prob
+    for rho, table in (
+            (2, dict(coeffs=[0.9, 0.0])),  # c_0 != 1
+            (2, dict(coeffs=[1.0, 1.5])),  # negative prob
+            # not Hermitian: c_2 != conj(c_1), so the inverse DFT is complex
+            (3, dict(coeffs=[1.0, 0.5, 0.0])),
+            (2, dict(probs=[[0.3], [0.7]])),  # nested
+            (2, dict(probs=[np.nan, 1.0])),
+            (3, dict(probs=[0.5, 0.5])),  # wrong length
+            (1, dict(probs=1.0))):  # a scalar, not a table
+        with pytest.raises(InvalidCoefficientsError):
+            DiscreteRoots(rho, **table)
+
+
+def test_discrete_point_mass_T_is_exact_at_large_m():
+    # a point mass on the root k gives T_m = k m / rho (mod 1), with no draw
+    # left to chance: c^m drifts by O(m eps) only, far below these uniforms
+    class Uniforms:
+        def random(self, size):
+            return np.linspace(1e-6, 1.0 - 1e-6, size)
+
+    for rho in (2, 3, 5, 7):
+        for k in range(rho):
+            model = DiscreteRoots(rho, probs=np.eye(rho)[k])
+            for m in (1, 2, rho, 30_000, 300_001, 10 ** 8 + 7):
+                got = model.sample_T(m, Uniforms(), 101)
+                assert np.array_equal(got, np.full(101, k * m % rho / rho)), (rho, k, m)
 
 
 def test_trivial_model():
