@@ -135,11 +135,6 @@ def cycle_product(perm: Permutation, z_values: np.ndarray, x: float) -> complex:
     return complex(out)
 
 
-def sym_matrix(perm: Permutation) -> np.ndarray:
-    """S_ij = delta_{i, sigma(j)} + delta_{i, sigma^{-1}(j)}."""
-    return perm.matrix + perm.matrix.T
-
-
 def sym_char_poly(perm: Permutation, x_real: float) -> float:
     """det(S - x I) for x in [-2, 2] via the cycle-product formula.
 
@@ -162,6 +157,6 @@ def sym_char_poly_matrix(perm: Permutation, x_real: float) -> float:
     """Dense-determinant counterpart of sym_char_poly; n <= 12."""
     if perm.n > _DET_SIZE_LIMIT:
         raise ValueError(f"dense determinant limited to n <= {_DET_SIZE_LIMIT}")
-    S = sym_matrix(perm)
+    S = perm.sym_matrix.copy()
     S.flat[::perm.n + 1] -= x_real  # S - x I
     return float(np.linalg.det(S))

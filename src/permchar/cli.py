@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -51,12 +52,43 @@ def _output(path: str | None, newline: str | None = None):
 
 
 def _emit(payload: dict, fh) -> None:
-    # Streamed, never built as one string; written in batches because each
-    # write is a system call when stdout is unbuffered.
-    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
-    while batch := "".join(itertools.islice(chunks, 16384)):
-        fh.write(batch)
+    """Write `payload` as json.dumps(payload, indent=2, sort_keys=True) + "\\n".
+
+    Keys are strings.  An iterator is written as a list, one item at a time,
+    so a caller can hand over rows as it makes them.  A flat list of numbers
+    goes to the C encoder in one piece: json's indenting encoder is pure
+    Python and would walk it item by item.
+    """
+    fh.writelines(_json_pieces(payload, "\n"))
     fh.write("\n")
+
+
+# types whose JSON text holds no ", ", the item separator of json.dumps
+_SCALARS = frozenset({int, float, bool, type(None)})
+
+
+def _json_pieces(obj, nl: str):
+    """The indented JSON text of `obj`, in pieces; `nl` is a newline and the current indent."""
+    inner = nl + "  "
+    if isinstance(obj, dict):
+        sep = "{"
+        for key, value in sorted(obj.items()):
+            yield f"{sep}{inner}{json.dumps(key)}: "
+            yield from _json_pieces(value, inner)
+            sep = ","
+        yield "{}" if sep == "{" else nl + "}"
+    elif isinstance(obj, (list, tuple)) and _SCALARS.issuperset(map(type, obj)):
+        body = json.dumps(obj)[1:-1]
+        yield f"[{inner}{body.replace(', ', ',' + inner)}{nl}]" if body else "[]"
+    elif isinstance(obj, (list, tuple, Iterator)):
+        sep = "["
+        for item in obj:
+            yield sep + inner
+            yield from _json_pieces(item, inner)
+            sep = ","
+        yield "[]" if sep == "[" else nl + "]"
+    else:
+        yield json.dumps(obj)
 
 
 def cmd_sample(args) -> int:
@@ -72,12 +104,17 @@ def cmd_sample(args) -> int:
             for i, (lengths, mults) in enumerate(groups):
                 writer.writerows(zip(itertools.repeat(i), lengths.tolist(), mults.tolist()))
         else:
-            cts = (ewens.cycle_counts_from_groups(args.n, *g) for g in groups)
-            rows = [{"sample_index": i, "cycle_counts": list(ct.counts),
-                     "total_cycles": ct.total_cycles} for i, ct in enumerate(cts)]
             _emit({"version": CONFIG_VERSION, "n": args.n, "theta": args.theta,
-                   "seed": args.seed, "samples": rows}, fh)
+                   "seed": args.seed, "samples": _sample_rows(args.n, groups)}, fh)
     return 0
+
+
+def _sample_rows(n: int, groups):
+    """One JSON row per (lengths, multiplicities): all n counts c_1..c_n."""
+    for i, (lengths, mults) in enumerate(groups):
+        counts = np.zeros(n, dtype=int)
+        counts[lengths - 1] = mults
+        yield {"sample_index": i, "cycle_counts": counts.tolist(), "total_cycles": int(mults.sum())}
 
 
 def _load_experiment_config(args) -> mc.ExperimentConfig:

@@ -90,20 +90,23 @@ def model_from_spec(spec: dict) -> MultiplierModel:
         rho = spec.get("rho")
         if not (_is_int(rho) and rho >= 1):
             raise RegimeViolationError(f"discrete rho must be an integer >= 1, got {rho!r}")
-        for key in ("probs", "coeffs"):
-            table = spec.get(key)
-            if table is not None and not (isinstance(table, (list, tuple)) and len(table) == rho
-                                          and all(map(_is_finite_real, table))):
-                raise RegimeViolationError(f"discrete {key} must list {rho} finite reals, got {table!r}")
-        return DiscreteRoots(rho, probs=spec.get("probs"), coeffs=spec.get("coeffs"))
+        probs, coeffs = spec.get("probs"), spec.get("coeffs")
+        if probs is not None and not (isinstance(probs, (list, tuple)) and len(probs) == rho
+                                      and all(map(_is_finite_real, probs))):
+            raise RegimeViolationError(f"discrete probs must list {rho} finite reals, got {probs!r}")
+        if coeffs is not None:
+            if not (isinstance(coeffs, (list, tuple)) and len(coeffs) == rho):
+                raise RegimeViolationError(f"discrete coeffs must list {rho} coefficients, got {coeffs!r}")
+            coeffs = [_coefficient(c) for c in coeffs]
+        return DiscreteRoots(rho, probs=probs, coeffs=coeffs)
     raise RegimeViolationError(f"unknown model type {spec.get('type')!r}")
 
 
 def _coefficient(c) -> complex:
-    """A Fourier coefficient given as a real number or an [re, im] pair."""
+    """A coefficient given as a finite real number or an [re, im] pair of them."""
     pair = c if isinstance(c, (list, tuple)) else (c, 0.0)
     if len(pair) != 2 or not all(map(_is_finite_real, pair)):
-        raise RegimeViolationError(f"fourier coefficient must be a number or [re, im], got {c!r}")
+        raise RegimeViolationError(f"a coefficient must be a finite number or [re, im], got {c!r}")
     return complex(*pair)
 
 

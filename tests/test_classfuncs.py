@@ -210,7 +210,7 @@ def test_matrices_equal_entrywise_construction():
                 P[i - 1, j] = 1.0
                 M[i - 1, j] = z[i - 1]
             assert np.array_equal(cf.permutation_matrix(perm, z[:n]), M)
-            assert np.array_equal(cf.sym_matrix(perm), P + P.T)
+            assert np.array_equal(perm.sym_matrix, P + P.T)
             for x in (-1.5, 0.0, 0.7):
                 want = float(np.linalg.det(P + P.T - x * np.eye(n)))
                 assert cf.sym_char_poly_matrix(perm, x) == want

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -143,6 +144,42 @@ def test_feller_check(capsys):
     payload = json.loads(out)
     assert payload["max_abs_difference"] <= 1e-12
     assert payload["total_probability"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_every_subcommand_prints_indented_sorted_json(tmp_path, capsys):
+    # the one emitter writes what json.dumps(payload, indent=2, sort_keys=True) would
+    c1 = np.fft.fft([0.5, 0.3, 0.2])[1]
+    complex_coeffs = {"type": "discrete", "rho": 3,
+                      "coeffs": [1, [c1.real, c1.imag], [c1.real, -c1.imag]]}
+    for argv in (["sample", "--n", "10", "--theta", "1", "--count", "3", "--seed", "7"],
+                 ["sample", "--n", "10000", "--theta", "0.7", "--count", "2", "--seed", "3"],
+                 # a discrete law given by its complex DFT runs
+                 ["clt", "--config", _clt_config(tmp_path, model_spec=complex_coeffs)],
+                 ["constants", "--function", "charpoly"],
+                 ["constants", "--function", "charpoly", "sympart", "antisympart"],
+                 ["discrepancy", "--kronecker", "0.414", "--n", "100"],
+                 ["discrepancy", "--kronecker", "0.414", "0.732", "--n", "100", "--etk-H", "5"],
+                 ["feller-check", "--n", "8", "--theta", "2.7"]):
+        code, out, _ = run(capsys, argv)
+        assert code == 0, argv
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", argv
+
+
+def test_emit_equals_indented_sorted_dumps():
+    rows = [{"sample_index": i, "cycle_counts": tuple(range(i))} for i in range(3)]
+    for payload in ({}, [], {"a": {}, "b": [], "c": ()}, rows,
+                    {"nested": [[1, [2.5, []]], [[]], [{"x": None}]]},
+                    {"special": [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300]},
+                    {"flags": [True, False, None], "mixed": [1, 2.0, -3, 0.1], "one": [7]},
+                    {"text": ["a, b", ", ", "x"], "key, with comma": "v, w", "s": "\u00e9\"\\"},
+                    {"z": 1, "a": [1, "b, c", [2, 3], None, {}]}):
+        fh = io.StringIO()
+        cli._emit(payload, fh)
+        assert fh.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n", payload
+    # an iterator is written as the list it yields
+    fh = io.StringIO()
+    cli._emit({"rows": iter(rows), "none": iter(())}, fh)
+    assert fh.getvalue() == json.dumps({"rows": rows, "none": []}, indent=2, sort_keys=True) + "\n"
 
 
 def test_unknown_subcommand_exit_2(capsys):

@@ -37,7 +37,10 @@ def test_cycle_type_weight_invariant():
 def _chain_cycle_type(bits):
     """The cycle type that cycle_groups reads from the ones of a dense chain."""
     n = len(bits)
-    return ewens.cycle_counts_from_groups(n, *ewens.cycle_groups(np.flatnonzero(bits), n))
+    lengths, mults = ewens.cycle_groups(np.flatnonzero(bits), n)
+    counts = np.zeros(n, dtype=int)
+    counts[lengths - 1] = mults
+    return CycleType(n, tuple(counts.tolist()))
 
 
 def test_cycle_groups_identity_chain():
@@ -125,6 +128,27 @@ def test_exact_feller_distribution_equals_chain_loop():
             got = ewens.exact_feller_distribution(n, t)
             assert list(got) == list(want)
             assert list(got.values()) == list(want.values())
+
+
+def test_exact_feller_distribution_equals_row_grouping():
+    # grouped by whole rows with np.unique(axis=0), ordered by first row:
+    # the same keys in the same order and the same float bits
+    for theta in (0.5, 1.0, 2.7):
+        t = EwensParameter(theta)
+        for n in range(1, 13):
+            p = ewens.chain_probabilities(n, t)
+            bits = np.array([(1,) + tail for tail in itertools.product((0, 1), repeat=n - 1)],
+                            dtype=bool)
+            prob = np.ones(len(bits))
+            for i in range(1, n):
+                prob *= np.where(bits[:, i], p[i], 1.0 - p[i])
+            types, first, which = np.unique(ewens._cycle_count_rows(bits), axis=0,
+                                            return_index=True, return_inverse=True)
+            total = np.zeros(len(types))
+            np.add.at(total, which.ravel(), prob)
+            want = [(CycleType(n, tuple(types[k].tolist())), total[k].hex()) for k in np.argsort(first)]
+            got = ewens.exact_feller_distribution(n, t)
+            assert [(ct, p.hex()) for ct, p in got.items()] == want
 
 
 def test_cycle_count_rows_agree_with_cycle_groups():
@@ -276,8 +300,10 @@ def test_permutation_memoizes_without_changing_identity():
     for j, i in enumerate(perm.images):
         want[i - 1, j] = 1.0
     assert np.array_equal(perm.matrix, want) and perm.matrix is perm.matrix
-    with pytest.raises(ValueError):
-        perm.matrix[0, 0] = 1.0
+    assert np.array_equal(perm.sym_matrix, want + want.T) and perm.sym_matrix is perm.sym_matrix
+    for cached in (perm.matrix, perm.sym_matrix):
+        with pytest.raises(ValueError):
+            cached[0, 0] = 1.0
     assert np.array_equal(perm.matrix, want)
 
 

@@ -138,6 +138,20 @@ def test_model_from_spec_variants():
         mc.model_from_spec({"type": "discrete", "rho": 2})
 
 
+def test_discrete_coeffs_take_re_im_pairs():
+    # an asymmetric law on the cube roots has a complex DFT
+    c1 = np.fft.fft([0.5, 0.3, 0.2])[1]
+    m = mc.model_from_spec({"type": "discrete", "rho": 3,
+                            "coeffs": [1, [c1.real, c1.imag], [c1.real, -c1.imag]]})
+    assert np.max(np.abs(m.probs - [0.5, 0.3, 0.2])) <= 1e-12
+    for coeffs in ([1, [0.25]], [1, [0.25, math.nan], [0.25, 0.0]], [1, "0.5", 0.5]):
+        with pytest.raises(mc.RegimeViolationError, match="coefficient"):
+            mc.model_from_spec({"type": "discrete", "rho": len(coeffs), "coeffs": coeffs})
+    # probabilities stay real
+    with pytest.raises(mc.RegimeViolationError, match="probs"):
+        mc.model_from_spec({"type": "discrete", "rho": 2, "probs": [[0.5, 0.0], 0.5]})
+
+
 def test_singular_counter_zero_in_regular_regime():
     cfg = mc.ExperimentConfig(n=200, theta=1.0, points=(SQRT2,), kind="w2",
                               model_spec={"type": "uniform"}, num_samples=100,
