@@ -1,7 +1,9 @@
 """Command-line front end: JSON/CSV output for scripting and plotting.
 
 Subcommands: sample, clt, discrepancy, constants, feller-check.
-Exit codes: 0 success, 1 runtime failure, 2 config/usage error.
+Exit codes: 0 success, 1 runtime failure, 2 config/usage error.  A reader
+that closes stdout early (`permchar sample ... | head`) is no failure: the
+run ends quietly with exit 0.
 """
 
 from __future__ import annotations
@@ -246,9 +248,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # inside the try: the parser reads PERMCHAR_SEED for its defaults
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    except BrokenPipeError:
+        # what stdout still holds would meet the closed pipe again at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except (ValueError, KeyError) as exc:  # ConfigError and JSONDecodeError are ValueErrors
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -39,6 +39,8 @@ class NonConvergenceError(ArithmeticError):
 
 _EXACT_LIMIT_1D = 100_000
 _EXACT_LIMIT_2D = 4000
+# etk_bound sums over the (2H+1)^d - 1 lattice points q, held all at once
+_ETK_LIMIT = 10_000_000
 # total_variation refines its grid until the estimate moves by less than
 # _VARIATION_TOL, from 1024 up to _VARIATION_MAX_POINTS intervals
 _VARIATION_TOL = 1e-6
@@ -212,6 +214,9 @@ def etk_bound(phis: float | tuple[float, ...], n: int, H: int) -> float:
         raise ValueError("H must be >= 1")
     phi = np.atleast_1d(np.asarray(phis, dtype=float))
     d = phi.size
+    if (2 * H + 1) ** d - 1 > _ETK_LIMIT:
+        raise ValueError(f"ETK bound limited to {_ETK_LIMIT} lattice points; "
+                         f"H = {H} in d = {d} gives {(2 * H + 1) ** d - 1}")
     q = _lattice_points(d, H)
     dist = nearest_integer_distance(q @ phi)
     if np.any(dist < 1e-13):

@@ -163,15 +163,14 @@ class FellerChain:
     probabilities as in the dense chain.  Past them, p_i does not increase
     with i, so a chunk starting at i = s + 1 keeps only the uniforms below
     p_{s+1} and tests those against their own p_i, computed with the
-    float operations of chain_probabilities.  Every draw reuses one buffer,
-    so an instance serves one thread.
+    float operations of chain_probabilities.  An instance holds no state
+    that a draw changes, so threads may share it.
     """
 
     def __init__(self, n: int, theta: EwensParameter):
         self.n = n
         self._theta = theta.theta
         self._p_head = chain_probabilities(min(n, CHUNK), theta)
-        self._buf = np.empty(min(max(n - CHUNK, 0), CHUNK))  # reused by every tail chunk
 
     def ones(self, stream: np.random.Generator) -> np.ndarray:
         """Positions (0-based, ascending) of the ones of one chain draw."""
@@ -179,7 +178,7 @@ class FellerChain:
         t = self._theta
         for s in range(CHUNK, self.n, CHUNK):
             k = min(CHUNK, self.n - s)
-            u = stream.random(k, out=self._buf[:k])
+            u = stream.random(k)
             cand = np.flatnonzero(u < t / (t + (s + 1) - 1.0))
             i = (cand + (s + 1)).astype(float)
             parts.append(cand[u[cand] < t / (t + i - 1.0)] + s)

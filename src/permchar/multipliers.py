@@ -37,48 +37,13 @@ class Uniform:
 
     def sample_T(self, m: int, stream: np.random.Generator, size: int) -> np.ndarray:
         # T_m is again uniform, so one uniform per draw would be exact too;
-        # summing m uniforms keeps every uniform stream unchanged, and with
-        # it the numbers the pinned-seed acceptance checks see.  A block of
-        # more than CHUNK uniforms is read in chunks and summed in the order
-        # numpy sums the whole (m, size) block, so the result is the same.
-        if m * size <= CHUNK:
-            return np.mod(stream.random((m, size)).sum(axis=0), 1.0)
-        if size == 1:
-            return np.mod([_pairwise_sum(m, stream, np.empty(CHUNK))], 1.0)
-        return np.mod(_row_sums(m, size, stream), 1.0)
-
-
-def _pairwise_sum(k: int, stream: np.random.Generator, buf: np.ndarray) -> float:
-    """stream.random(k).sum(), holding at most CHUNK uniforms at a time.
-
-    numpy sums a long vector pairwise: it splits k at half, rounded down to
-    a multiple of 8, and sums the two halves alone.  Splitting the same way
-    down to pieces of at most CHUNK, each summed by numpy, adds the same
-    floats in the same order.
-    """
-    if k <= CHUNK:
-        return stream.random(k, out=buf[:k]).sum()
-    half = k // 2 - k // 2 % 8
-    left = _pairwise_sum(half, stream, buf)
-    return left + _pairwise_sum(k - half, stream, buf)
-
-
-def _row_sums(m: int, size: int, stream: np.random.Generator) -> np.ndarray:
-    """stream.random((m, size)).sum(axis=0), holding about CHUNK uniforms.
-
-    numpy sums a C-ordered block over axis 0 row after row, so the running
-    sum, put in front of the next rows, continues the same additions
-    (0 + x == x for the first row).
-    """
-    rows = max(1, CHUNK // size)
-    buf = np.empty((rows + 1, size))
-    acc = np.zeros(size)
-    for start in range(0, m, rows):
-        k = min(rows, m - start)
-        buf[0] = acc
-        stream.random((k, size), out=buf[1:k + 1])
-        acc = buf[:k + 1].sum(axis=0)
-    return acc
+        # summing m uniforms keeps every uniform stream unchanged.  A block of
+        # at most CHUNK uniforms is one chunk, summed as numpy sums the block.
+        rows = max(1, CHUNK // size)
+        total = stream.random((min(m, rows), size)).sum(axis=0)
+        for start in range(rows, m, rows):
+            total += stream.random((min(rows, m - start), size)).sum(axis=0)
+        return np.mod(total, 1.0)
 
 
 class FourierDensity:

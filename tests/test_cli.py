@@ -284,6 +284,9 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
     rejected(["discrepancy", "--kronecker", "0.414", "--n", "100", "--etk-H", "0"], "H must be")
     rejected(["discrepancy", "--kronecker", "nan", "--n", "10"], "finite")
     rejected(["discrepancy", "--kronecker", "inf", "--n", "10", "--etk-H", "3"], "finite")
+    # refused before any of the 2e9 lattice points is allocated
+    rejected(["discrepancy", "--kronecker", "0.414", "--n", "10", "--etk-H", "1000000000"],
+             "lattice points")
     rejected(["feller-check", "--n", "0", "--theta", "1"], "1 <= n <= 16")
     # an output path that cannot be written: a missing directory or a directory
     for target in (str(tmp_path / "missing-dir" / "x.out"), str(tmp_path)):
@@ -339,6 +342,20 @@ def test_cli_import_does_not_load_scipy():
                           "import sys, permchar.cli; print('scipy' in sys.modules)"],
                          env=env, capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+def test_closed_stdout_pipe_ends_quietly():
+    # a reader that stops early (| head) is not a failed run: exit 0 and
+    # nothing on stderr, not even the interpreter's flush at exit
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = os.environ | {"PYTHONPATH": str(src)}
+    for fmt in ("json", "csv"):
+        proc = subprocess.Popen([sys.executable, "-m", "permchar.cli", "sample", "--n", "100000",
+                                 "--theta", "1", "--count", "2", "--format", fmt],
+                                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()  # before the first byte is written
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (0, b""), fmt
 
 
 def test_version_matches_pyproject():

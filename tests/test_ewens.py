@@ -1,5 +1,6 @@
 import itertools
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -265,6 +266,19 @@ def test_feller_chain_reader_equals_dense_chain():
                 dense_lengths, dense_mults = ewens.cycle_groups(np.flatnonzero(
                     ewens.sample_feller_chain(p, np.random.default_rng(seed))), n)
                 assert np.array_equal(lengths, dense_lengths) and np.array_equal(mults, dense_mults)
+
+
+def test_feller_chain_is_shared_by_threads():
+    # a draw changes nothing in the instance, so concurrent draws from one
+    # chain equal the serial ones
+    n = 3 * ewens.CHUNK + 7
+    for t in (0.3, 2.7):
+        chain = ewens.FellerChain(n, EwensParameter(t))
+        serial = [chain.ones(np.random.default_rng(seed)) for seed in range(8)]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            shared = list(pool.map(lambda seed: chain.ones(np.random.default_rng(seed)), range(8)))
+        for seed, (got, want) in enumerate(zip(shared, serial)):
+            assert np.array_equal(got, want), (t, seed)
 
 
 def test_feller_coupling_gap_equals_dense_chain():
