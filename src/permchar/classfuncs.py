@@ -74,7 +74,7 @@ def spectral_function_by_label(label: str) -> SpectralFunction:
             raise ValueError(f"{label!r}: the constant must be finite and nonzero")
         return constant(c)
     if label not in table:
-        raise KeyError(f"unknown spectral function {label!r}")
+        raise ValueError(f"unknown spectral function {label!r}")
     return table[label]()
 
 

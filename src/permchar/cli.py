@@ -30,14 +30,6 @@ class ConfigError(ValueError):
     pass
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("PERMCHAR_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"PERMCHAR_SEED must be an integer, got {raw!r}") from None
-
-
 @contextlib.contextmanager
 def _output(path: str | None, newline: str | None = None):
     """Yield `path` opened for writing (a config error if it cannot be),
@@ -94,8 +86,8 @@ def _json_pieces(obj, nl: str):
 
 
 def cmd_sample(args) -> int:
-    if args.n < 1 or args.count < 1:
-        raise ConfigError("need n >= 1, count >= 1")
+    if args.n < 1 or args.count < 1 or args.seed < 0:
+        raise ConfigError("need n >= 1, count >= 1, seed >= 0")
     chain = ewens.FellerChain(args.n, ewens.EwensParameter(args.theta))
     groups = (ewens.cycle_groups(chain.ones(mc.derive_stream(args.seed, i)), args.n)
               for i in range(args.count))
@@ -135,7 +127,6 @@ def _load_experiment_config(args) -> mc.ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     kwargs = {k: raw[k] for k in fields if k in raw}
-    kwargs.setdefault("master_seed", _default_seed())
     try:
         return mc.ExperimentConfig(**kwargs)
     except TypeError as exc:
@@ -212,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--count", type=int, default=1)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_sample)
@@ -246,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        # inside the try: the parser reads PERMCHAR_SEED for its defaults
         args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
@@ -259,7 +249,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 0
-    except (ValueError, KeyError) as exc:  # ConfigError and JSONDecodeError are ValueErrors
+    except ValueError as exc:  # ConfigError and JSONDecodeError are ValueErrors
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

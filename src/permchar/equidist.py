@@ -39,7 +39,7 @@ class NonConvergenceError(ArithmeticError):
 
 _EXACT_LIMIT_1D = 100_000
 _EXACT_LIMIT_2D = 4000
-# etk_bound sums over the (2H+1)^d - 1 lattice points q, held all at once
+# etk_bound sums (2H+1)^d - 1 lattice points q, 2H + 1 at a time: a limit on time, not memory
 _ETK_LIMIT = 10_000_000
 # total_variation refines its grid until the estimate moves by less than
 # _VARIATION_TOL, from 1024 up to _VARIATION_MAX_POINTS intervals
@@ -214,16 +214,25 @@ def etk_bound(phis: float | tuple[float, ...], n: int, H: int) -> float:
         raise ValueError("H must be >= 1")
     phi = np.atleast_1d(np.asarray(phis, dtype=float))
     d = phi.size
+    if d not in (1, 2):
+        raise DimensionUnsupportedError("ETK bound supports d in {1, 2}")
     if (2 * H + 1) ** d - 1 > _ETK_LIMIT:
         raise ValueError(f"ETK bound limited to {_ETK_LIMIT} lattice points; "
                          f"H = {H} in d = {d} gives {(2 * H + 1) ** d - 1}")
-    q = _lattice_points(d, H)
-    dist = nearest_integer_distance(q @ phi)
-    if np.any(dist < 1e-13):
-        raise ResonantFrequencyError("||q.phi|| = 0 for some q: rational dependence")
-    r = np.prod(np.maximum(1, np.abs(q)), axis=1)
-    total = math.fsum((1.0 / (r * dist)).tolist())
-    return float(3.0 ** d * (2.0 / (H + 1) + total / n))
+    a = np.arange(-H, H + 1)
+
+    def terms():  # in d = 2 one slab q_1 = const at a time: the lattice is never held whole
+        for q1 in a.tolist() if d == 2 else [0]:
+            q = np.column_stack([np.full((a.size, d - 1), q1), a])
+            q = q[(q != 0).any(axis=1)]
+            dist = nearest_integer_distance(q @ phi)
+            if np.any(dist < 1e-13):
+                raise ResonantFrequencyError("||q.phi|| = 0 for some q: rational dependence")
+            r = np.prod(np.maximum(1, np.abs(q)), axis=1)
+            yield from (1.0 / (r * dist)).tolist()
+
+    # fsum rounds the exact sum once, so the slabs' grouping cannot change it
+    return float(3.0 ** d * (2.0 / (H + 1) + math.fsum(terms()) / n))
 
 
 def finite_type_estimate(phis: float | tuple[float, ...], H_max: int) -> FiniteTypeCertificate:

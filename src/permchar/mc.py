@@ -7,6 +7,7 @@ depend on how samples are scheduled.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -141,8 +142,10 @@ def _require_finite_type(points: tuple[float, ...]) -> None:
         if finite_type_estimate(phi, 512).K <= 0.0:
             raise RegimeViolationError(
                 f"point angle {phi} has no finite-type certificate (rational dependence found)")
-    if len(points) == 2 and finite_type_estimate(tuple(points), 64).K <= 0.0:
-        raise RegimeViolationError("point pair fails the pairwise finite-type search")
+    # relations among three or more points stay unchecked: the lattice search supports d <= 2
+    for pair in itertools.combinations(points, 2):
+        if finite_type_estimate(pair, 64).K <= 0.0:
+            raise RegimeViolationError(f"point pair {pair} fails the pairwise finite-type search")
 
 
 def _is_int(value) -> bool:
@@ -183,8 +186,9 @@ def validate_config(cfg: ExperimentConfig) -> tuple[list[classfuncs.SpectralFunc
         return [], None
     if not cfg.points:
         raise RegimeViolationError("at least one evaluation point required")
-    if len(set(cfg.points)) != len(cfg.points):
-        raise RegimeViolationError("points must be pairwise distinct")
+    # x stands for e^{2 pi i x}; x = p/q in lowest terms is (p % q)/q mod 1, exactly
+    if len({(p % q, q) for p, q in (x.as_integer_ratio() for x in cfg.points)}) != len(cfg.points):
+        raise RegimeViolationError("points must be pairwise distinct modulo 1")
     if cfg.model_spec.get("type") in ("trivial", "discrete"):
         _require_finite_type(cfg.points)
     labels = cfg.function_labels or tuple("charpoly" for _ in cfg.points)

@@ -54,7 +54,7 @@ def test_sym_part_is_real_nonnegative():
 def test_spectral_function_by_label():
     assert cf.spectral_function_by_label("charpoly").label == "charpoly"
     assert cf.spectral_function_by_label("const:2.0").on_circle(np.array([0.3]))[0] == 2.0
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="unknown spectral function 'nope'"):
         cf.spectral_function_by_label("nope")
     # log 0 and non-finite constants have no finite limit constants
     for label in ("const:0", "const:nan", "const:inf"):

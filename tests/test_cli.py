@@ -222,12 +222,20 @@ def test_clt_rejects_nan_point(tmp_path, capsys):
     assert "config error" in err and "points must be" in err
 
 
-def test_bad_seed_environment_exit_2(capsys, monkeypatch):
+def test_seed_environment_is_ignored(tmp_path, capsys, monkeypatch):
+    # a run reads only its config and its flags: a missing seed is 0
     monkeypatch.setenv("PERMCHAR_SEED", "abc")
-    code, out, err = run(capsys, ["feller-check", "--n", "4", "--theta", "1"])
-    assert code == 2
-    assert out == ""
-    assert "config error:" in err and "PERMCHAR_SEED" in err
+    assert run(capsys, ["feller-check", "--n", "4", "--theta", "1"])[0] == 0
+    sample = ["sample", "--n", "10", "--theta", "1", "--count", "3"]
+    unseeded = run(capsys, sample)
+    assert unseeded[0] == 0
+    assert unseeded == run(capsys, [*sample, "--seed", "0"])
+    seeded = run(capsys, ["clt", "--config", _clt_config(tmp_path, master_seed=0)])
+    path = tmp_path / "unseeded.json"
+    path.write_text(json.dumps({"version": 1, "n": 50, "theta": 1.0, "points": [math.sqrt(2) % 1],
+                                "num_samples": 5}))
+    assert seeded[0] == 0
+    assert run(capsys, ["clt", "--config", str(path)]) == seeded
 
 
 def test_constants_rejects_bad_theta(capsys):
@@ -280,6 +288,7 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
     rejected(["clt", "--config", str(tmp_path)], "cannot read config")
     for label in ("const:0", "const:nan", "const:inf"):
         rejected(["constants", "--function", label], label)
+    rejected(["constants", "--function", "foo"], "config error: unknown spectral function 'foo'")
     # H = 0 is a value, not "no H given"
     rejected(["discrepancy", "--kronecker", "0.414", "--n", "100", "--etk-H", "0"], "H must be")
     rejected(["discrepancy", "--kronecker", "nan", "--n", "10"], "finite")
@@ -288,6 +297,12 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
     rejected(["discrepancy", "--kronecker", "0.414", "--n", "10", "--etk-H", "1000000000"],
              "lattice points")
     rejected(["feller-check", "--n", "0", "--theta", "1"], "1 <= n <= 16")
+    # a negative seed is refused before any output is opened or written
+    target = tmp_path / "s.json"
+    for tail in (["--output", str(target)], ["--format", "csv", "--output", str(target)],
+                 ["--format", "csv"]):
+        rejected(["sample", "--n", "5", "--theta", "1", "--seed", "-1", *tail], "seed >= 0")
+        assert not target.exists()
     # an output path that cannot be written: a missing directory or a directory
     for target in (str(tmp_path / "missing-dir" / "x.out"), str(tmp_path)):
         rejected(["constants", "--function", "charpoly", "--output", target], "cannot write output")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,6 +85,29 @@ def test_etk_bound_dominates_exact():
     exact = eq.star_discrepancy_exact(seq)
     bound = eq.etk_bound(SQRT2, 500, 40)
     assert bound >= exact
+
+
+def test_etk_bound_equals_whole_lattice_sum():
+    # the d = 2 lattice is summed one q_1 slab at a time; fsum rounds the
+    # exact sum once, so the result equals the sum over the whole lattice
+    for phis in ((SQRT2,), (SQRT2, SQRT3)):
+        phi = np.array(phis)
+        for H in (1, 3, 50, 200):
+            a = np.arange(-H, H + 1)
+            q = np.stack([g.ravel() for g in np.meshgrid(*[a] * phi.size, indexing="ij")], axis=1)
+            q = q[(q != 0).any(axis=1)]
+            r = np.prod(np.maximum(1, np.abs(q)), axis=1)
+            terms = 1.0 / (r * eq.nearest_integer_distance(q @ phi))
+            want = 3.0 ** phi.size * (2.0 / (H + 1) + math.fsum(terms.tolist()) / 100)
+            assert eq.etk_bound(phis, 100, H) == want, (phis, H)
+    # the whole lattice at H = 1000 holds 4e6 points, 64 MB of q alone
+    tracemalloc.start()
+    try:
+        eq.etk_bound((SQRT2, SQRT3), 100, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_etk_bound_rational_resonance():

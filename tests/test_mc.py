@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -88,6 +89,8 @@ def test_validate_config_rejects_bad_inputs():
                 dict(theta="1"), dict(num_samples=0), dict(num_samples=2.5),
                 dict(kind="multipoint"), dict(points=0.3), dict(points=(float("nan"),)),
                 dict(points=("0.3",)), dict(master_seed=1.5), dict(master_seed=-1),
+                # x stands for e^{2 pi i x}: these are one point twice
+                dict(points=(0.25, 1.25)), dict(points=(0.75, -0.25)),
                 dict(model_spec=["uniform"]), dict(function_labels=[1]),
                 dict(function_labels="charpoly")):
         cfg = dict(n=10, theta=1.0, points=(0.1,), num_samples=5) | bad
@@ -103,6 +106,13 @@ def test_trivial_model_requires_finite_type_point():
     ok = mc.ExperimentConfig(n=10, theta=1.0, points=(SQRT2,), kind="logZ",
                              model_spec={"type": "trivial"})
     mc.validate_config(ok)
+    # every pair is searched, at any d: q = (2, -1) gives 2 x_1 - x_2 = 0 mod 1
+    # whatever the third point
+    sqrt5 = math.sqrt(5.0) % 1.0
+    for points in ((SQRT2, 2 * SQRT2 % 1.0), (SQRT2, 2 * SQRT2 % 1.0, SQRT3)):
+        with pytest.raises(mc.RegimeViolationError, match="pairwise"):
+            mc.validate_config(dataclasses.replace(ok, points=points))
+    mc.validate_config(dataclasses.replace(ok, points=(SQRT2, SQRT3, sqrt5)))
 
 
 def test_nearby_points_read_the_same_matrix():
