@@ -19,16 +19,12 @@ from .ewens import Permutation
 _DET_SIZE_LIMIT = 12
 
 
-class SingularSampleError(ArithmeticError):
-    """A branch-log term hit an exact zero (probability-zero event)."""
-
-
 @dataclass(frozen=True)
 class SpectralFunction:
     """Function on the unit circle together with its zero angles.
 
     The zero angles are the split points of the limit-constant quadrature;
-    they cannot be recovered from the callable.  (The singular-sample guard
+    they cannot be recovered from the callable.  (The singular-sample report
     of log_sums tests the values themselves for exact zeros.)
     """
 
@@ -78,14 +74,18 @@ def spectral_function_by_label(label: str) -> SpectralFunction:
     return table[label]()
 
 
-def log_sums(fs: list[SpectralFunction], points, lengths, angles) -> np.ndarray:
-    """Branch-log sums of d class-function coordinates over the cycles of one sample.
+def log_sums(fs: list[SpectralFunction], points, lengths, angles,
+             starts=(0,)) -> tuple[np.ndarray, np.ndarray]:
+    """Branch-log sums of d class-function coordinates over the cycles of samples.
 
-    Coordinate j is sum_k log f_j(e^{2 pi i (angles[k] + lengths[k] x_j)}),
-    returned as (re_1..re_d, im_1..im_d).  `angles` holds one multiplier
-    angle per cycle, shape (K,) like `lengths`: every point reads the same
-    draw (one matrix).  log Z is the case f = char_poly() with the product
-    angles negated (T -> T^{-1}).
+    The cycles of sample s are lengths[starts[s]:starts[s + 1]] (the last
+    sample runs to the end); every sample has at least one cycle.  Its
+    coordinate j is sum_k log f_j(e^{2 pi i (angles[k] + lengths[k] x_j)}),
+    returned as row s = (re_1..re_d, im_1..im_d).  `angles` holds one
+    multiplier angle per cycle, shape (K,) like `lengths`: every point reads
+    the same draw (one matrix).  log Z is the case f = char_poly() with the
+    product angles negated (T -> T^{-1}).  Also returns which samples hit an
+    exact zero (a probability-zero event); their rows are meaningless.
     """
     points = np.asarray(points, dtype=float)
     angles = np.asarray(angles, dtype=float)
@@ -100,10 +100,11 @@ def log_sums(fs: list[SpectralFunction], points, lengths, angles) -> np.ndarray:
     for label in dict.fromkeys(f.label for f in fs):
         rows = [j for j, f in enumerate(fs) if f.label == label]
         vals[rows] = fs[rows[0]].on_circle(phi[rows])
-    if np.any(vals == 0):
-        raise SingularSampleError("log of exact zero in class-function term")
+    zero = vals == 0
+    vals[zero] = 1.0
     logs = np.log(vals)
-    return np.concatenate([logs.real.sum(axis=1), logs.imag.sum(axis=1)])
+    sums = np.add.reduceat(np.concatenate([logs.real, logs.imag]), starts, axis=1)
+    return sums.T, np.logical_or.reduceat(zero.any(axis=0), starts)
 
 
 def permutation_matrix(perm: Permutation, z_values: np.ndarray) -> np.ndarray:

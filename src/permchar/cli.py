@@ -163,6 +163,7 @@ def cmd_discrepancy(args) -> int:
         raise ConfigError("give one or two Kronecker angles")
     if not all(map(math.isfinite, phis)):
         raise ConfigError(f"Kronecker angles must be finite, got {list(phis)}")
+    equidist.require_exact_size(len(phis), args.n)
     seq = equidist.kronecker(phis, args.n)
     exact = equidist.star_discrepancy_exact(seq)
     etk = equidist.etk_bound(phis, args.n, args.etk_H) if args.etk_H is not None else None

@@ -154,17 +154,22 @@ def _star_discrepancy_2d(points: np.ndarray) -> float:
     return best
 
 
+def require_exact_size(d: int, n: int) -> None:
+    """Refuse an exact discrepancy of n points in dimension d that
+    star_discrepancy_exact does not compute, before the points are made."""
+    if d not in (1, 2):
+        raise DimensionUnsupportedError("exact discrepancy supports d in {1, 2}")
+    limit = _EXACT_LIMIT_1D if d == 1 else _EXACT_LIMIT_2D
+    if n > limit:
+        raise ValueError(f"{d}D exact discrepancy limited to n <= {limit}")
+
+
 def star_discrepancy_exact(seq: PointSequence) -> float:
     """Exact star discrepancy D_n^* for d = 1 or 2."""
+    require_exact_size(seq.d, seq.n)
     if seq.d == 1:
-        if seq.n > _EXACT_LIMIT_1D:
-            raise ValueError(f"1D exact discrepancy limited to n <= {_EXACT_LIMIT_1D}")
         return _star_discrepancy_1d(seq.points[:, 0])
-    if seq.d == 2:
-        if seq.n > _EXACT_LIMIT_2D:
-            raise ValueError(f"2D exact discrepancy limited to n <= {_EXACT_LIMIT_2D}")
-        return _star_discrepancy_2d(seq.points)
-    raise DimensionUnsupportedError("exact discrepancy supports d in {1, 2}")
+    return _star_discrepancy_2d(seq.points)
 
 
 def star_discrepancy_grid_oracle(seq: PointSequence, grid_resolution: int) -> float:

@@ -1,12 +1,11 @@
 """Ewens-distributed cycle structures via the Feller coupling.
 
 The Feller coupling builds the cycle counts of an Ewens(theta) permutation
-and their Poisson limits from a single chain of independent Bernoulli bits,
-which lets us compare the two pathwise.  A chain is read as the positions of
-its ones: `FellerChain.ones` draws them CHUNK uniforms at a time, and every
-consumer reads them through one of two readers, `cycle_groups` (the cycle
-lengths) or `poisson_counts` (the Poisson spacings).  The dense chain,
-`sample_feller_chain`, is FellerChain's first chunk and its test oracle.
+from a single chain of independent Bernoulli bits.  A chain is read as the
+positions of its ones: `FellerChain.ones` draws them CHUNK uniforms at a
+time, and every consumer reads them through one reader, `cycle_groups`
+(the cycle lengths).  The dense chain, `sample_feller_chain`, is
+FellerChain's first chunk and its test oracle.
 The Chinese restaurant process provides a second, independent sampler
 producing the explicit permutation the oracles need.
 """
@@ -33,10 +32,6 @@ class InvalidCycleTypeError(ValueError):
 
 class SizeLimitError(ValueError):
     """Exact enumeration requested beyond the supported size."""
-
-
-class HorizonTooSmallError(ValueError):
-    """Chain horizon too short for the requested spacing length."""
 
 
 @dataclass(frozen=True)
@@ -196,19 +191,6 @@ def cycle_groups(ones: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(np.diff(np.append(ones, n)), return_counts=True)
 
 
-def poisson_counts(ones: np.ndarray, horizon: int, m_max: int) -> tuple[int, ...]:
-    """Estimated Y_1..Y_{m_max}: m-spacings within a chain of length `horizon`,
-    no appended 1; `ones` are the positions of its ones.
-
-    Only spacings that close with a 1 inside the horizon are counted, so
-    each count is biased low by O(m / horizon).
-    """
-    if horizon < 2 * m_max:
-        raise HorizonTooSmallError(f"horizon {horizon} < 2*m_max = {2 * m_max}")
-    gaps = np.diff(ones)
-    return tuple(np.bincount(gaps[gaps <= m_max], minlength=m_max + 1)[1:].tolist())
-
-
 def sample_permutation_crp(n: int, theta: EwensParameter, stream: np.random.Generator) -> Permutation:
     """Chinese restaurant construction of an Ewens(theta) permutation.
 
@@ -292,21 +274,3 @@ def psi_n(n: int, m, theta: EwensParameter):
     psi = np.exp(_lgamma(n - m + t) - _lgamma(n - m + 1) + math.lgamma(n + 1) - math.lgamma(n + t))
     return float(psi) if psi.ndim == 0 else psi
 
-
-def feller_coupling_gap(n: int, theta: EwensParameter, m: int, num_samples: int,
-                        stream: np.random.Generator) -> float:
-    """Monte Carlo estimate of E|C_m - Y_m| using one chain for both counts.
-
-    C_m reads the first n bits of the chain (cycle_groups), Y_m all
-    max(10 n, 2 m) of them (poisson_counts).
-    """
-    if not (1 <= m <= n) or num_samples < 1:
-        raise ValueError("need 1 <= m <= n and num_samples >= 1")
-    chain = FellerChain(max(10 * n, 2 * m), theta)
-    total = 0
-    for _ in range(num_samples):
-        ones = chain.ones(stream)
-        lengths, mults = cycle_groups(ones[ones < n], n)
-        c_m = int(mults[lengths == m].sum())
-        total += abs(c_m - poisson_counts(ones, chain.n, m)[m - 1])
-    return total / num_samples

@@ -2,7 +2,7 @@
 
 Each sample derives its own random stream from (master_seed, sample
 index), so results are a pure function of the configuration and do not
-depend on how samples are scheduled.
+depend on how samples are scheduled or grouped into evaluation blocks.
 """
 
 from __future__ import annotations
@@ -16,12 +16,14 @@ import numpy as np
 
 from . import classfuncs, limits
 from .equidist import finite_type_estimate
-from .ewens import EwensParameter, FellerChain, cycle_groups
+from .ewens import CHUNK, EwensParameter, FellerChain, cycle_groups
 from .multipliers import (DiscreteRoots, FourierDensity, MultiplierModel, Trivial, Uniform)
 
 _KINDS = ("logZ", "w1", "w2", "total-cycles")
 _CENTERINGS = ("theoretical", "empirical", "none")
 _SINGULAR_CAP = 0.001
+# Samples per log_sums call; results do not depend on it
+_BLOCK = 256
 _erfc = np.vectorize(math.erfc, otypes=[float])
 
 
@@ -205,45 +207,69 @@ def _sample_cycle_groups(chain: FellerChain, rng: np.random.Generator) -> tuple[
     return cycle_groups(chain.ones(rng), chain.n)
 
 
-def _eval_sample(cfg: ExperimentConfig, fs, model, chain: FellerChain,
-                 rng: np.random.Generator) -> np.ndarray:
-    """One statistic draw: (re_1..re_d, im_1..im_d), or total cycles.
+def _eval_sample(cfg: ExperimentConfig, model, chain: FellerChain,
+                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray | None]:
+    """One sample's draw: the length and the multiplier angle of each cycle;
+    total-cycles reads no multipliers, so its angles are None.
 
     All points read the same matrix: each cycle gets one multiplier draw
     (z = T_1 for w1, the product T_m otherwise), shared by every coordinate.
     """
     lengths, mults = _sample_cycle_groups(chain, rng)
-    if cfg.kind == "total-cycles":
-        return np.array([float(mults.sum()), 0.0])
-    ms = np.ones_like(lengths) if cfg.kind == "w1" else lengths
-    angles = np.concatenate([model.sample_T(int(m), rng, int(c)) for m, c in zip(ms, mults)])
+    angles = None
+    if cfg.kind != "total-cycles":
+        angles = model.sample_T(np.ones_like(lengths) if cfg.kind == "w1" else lengths, mults, rng)
     if cfg.kind == "logZ":
         # characteristic polynomial terms 1 - x^{-m} T = f(x^m T^{-1}), f = char_poly
         angles = -angles
-    return classfuncs.log_sums(fs, cfg.points, np.repeat(lengths, mults), angles)
+    return np.repeat(lengths, mults), angles
+
+
+def _draw_blocks(cfg: ExperimentConfig, model, chain: FellerChain, indices, retry: int):
+    """(indices, draws) of the samples `indices`, drawn from their retry
+    streams, in blocks of _BLOCK samples or, at large theta, CHUNK cycles."""
+    block, cycles = [], 0
+    for i in indices:
+        block.append((i, _eval_sample(cfg, model, chain, derive_stream(cfg.master_seed, i, retry))))
+        cycles += len(block[-1][1][0])
+        if len(block) == _BLOCK or cycles >= CHUNK or i == indices[-1]:
+            yield zip(*block)
+            block, cycles = [], 0
+
+
+def _eval_block(cfg: ExperimentConfig, fs, draws) -> tuple[np.ndarray, np.ndarray]:
+    """Raw rows of drawn samples, (re_1..re_d, im_1..im_d) or (total cycles, 0),
+    and which of them hit an exact zero."""
+    lengths, angles = zip(*draws)
+    if cfg.kind == "total-cycles":
+        return np.array([[len(x), 0.0] for x in lengths]), np.zeros(len(draws), dtype=bool)
+    starts = np.cumsum([0] + [len(x) for x in lengths[:-1]])
+    return classfuncs.log_sums(fs, cfg.points, np.concatenate(lengths), np.concatenate(angles), starts)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Run the configured experiment; deterministic given the config."""
+    """Run the configured experiment; deterministic given the config.
+
+    Samples are drawn one by one and evaluated a block at a time.  A sample
+    that hits an exact zero is drawn again from its next retry stream.
+    """
     fs, model = validate_config(cfg)
     chain = FellerChain(cfg.n, EwensParameter(cfg.theta))
     width = 2 * max(1, len(fs))  # total-cycles: (count, 0)
     raw = np.empty((cfg.num_samples, width))
     rejections = 0
     max_rejections = max(1, int(_SINGULAR_CAP * cfg.num_samples))
-    for i in range(cfg.num_samples):
-        retry = 0
-        while True:
-            rng = derive_stream(cfg.master_seed, i, retry)
-            try:
-                raw[i] = _eval_sample(cfg, fs, model, chain, rng)
-                break
-            except classfuncs.SingularSampleError:
-                rejections += 1
-                retry += 1
-                if rejections > max_rejections:
-                    raise RegimeViolationError(
-                        "singular-sample rate exceeded 0.1%: regime violation suspected")
+    todo, retry = range(cfg.num_samples), 0
+    while todo:
+        redo = []
+        for indices, draws in _draw_blocks(cfg, model, chain, todo, retry):
+            raw[list(indices)], singular = _eval_block(cfg, fs, draws)
+            rejections += int(singular.sum())
+            if rejections > max_rejections:
+                raise RegimeViolationError(
+                    "singular-sample rate exceeded 0.1%: regime violation suspected")
+            redo += np.array(indices)[singular].tolist()
+        todo, retry = redo, retry + 1
     raw_mean = raw.mean(axis=0)
     samples = _normalize(cfg, fs, raw)
     mean = samples.mean(axis=0)

@@ -4,8 +4,9 @@ Angles live in [0, 1) and represent e^{2*pi*i*phi}.  Four regimes are
 supported: trivial (z = 1), uniform, absolutely continuous with a finite
 Fourier expansion, and discrete supported on the rho-th roots of unity.
 An m-cycle enters det(I - x^{-1} M) only through the product T_m of its
-m multipliers, so every model has one sampler, sample_T(m, stream, size);
-a single z is T_1.
+m multipliers, so every model has one sampler, sample_T(ms, counts, stream):
+counts[k] draws of T_{ms[k]} for each k, in that order, all in one call per
+sample; a single z is T_1.
 """
 
 from __future__ import annotations
@@ -27,23 +28,44 @@ class InvalidCoefficientsError(ValueError):
 class Trivial:
     """z identically 1."""
 
-    def sample_T(self, m: int, stream: np.random.Generator, size: int) -> np.ndarray:
-        return np.zeros(size)
+    def sample_T(self, ms, counts, stream: np.random.Generator) -> np.ndarray:
+        return np.zeros(int(np.sum(counts)))
 
 
 @dataclass(frozen=True)
 class Uniform:
     """z uniform on the unit circle."""
 
-    def sample_T(self, m: int, stream: np.random.Generator, size: int) -> np.ndarray:
+    def sample_T(self, ms, counts, stream: np.random.Generator) -> np.ndarray:
         # T_m is again uniform, so one uniform per draw would be exact too;
-        # summing m uniforms keeps every uniform stream unchanged.  A block of
-        # at most CHUNK uniforms is one chunk, summed as numpy sums the block.
-        rows = max(1, CHUNK // size)
-        total = stream.random((min(m, rows), size)).sum(axis=0)
-        for start in range(rows, m, rows):
-            total += stream.random((min(rows, m - start), size)).sum(axis=0)
-        return np.mod(total, 1.0)
+        # summing m uniforms keeps every uniform stream unchanged.  The c draws
+        # of T_m read an (m, c) block, summed as numpy sums that block.  Runs of
+        # consecutive blocks of at most CHUNK uniforms in all are one read; a
+        # longer block is read in chunks of whole rows, whose sums are added.
+        sums, run, run_size = [], [], 0
+
+        def read_run():
+            u, o = stream.random(run_size), 0
+            for m, c in run:
+                sums.append(u[o:o + m * c].reshape(m, c).sum(axis=0))
+                o += m * c
+
+        for m, c in _blocks(ms, counts):
+            if run and run_size + m * c > CHUNK:
+                read_run()
+                run, run_size = [], 0
+            if m * c <= CHUNK:
+                run.append((m, c))
+                run_size += m * c
+                continue
+            rows = max(1, CHUNK // c)
+            total = stream.random((rows, c)).sum(axis=0)
+            for start in range(rows, m, rows):
+                total += stream.random((min(rows, m - start), c)).sum(axis=0)
+            sums.append(total)
+        if run:
+            read_run()
+        return np.mod(np.concatenate(sums), 1.0)
 
 
 class FourierDensity:
@@ -78,18 +100,16 @@ class FourierDensity:
             out += c * np.exp(2j * np.pi * j * np.asarray(phi))
         return out
 
-    def sample_T(self, m: int, stream: np.random.Generator, size: int) -> np.ndarray:
-        envelope = sum(abs(c) for c in convolved_density_coeffs(self, m).values())
-        out = np.empty(size)
-        filled = 0
-        while filled < size:
-            todo = size - filled
-            prop = stream.random(todo)
-            accept = stream.random(todo) * envelope < self.density(prop, m).real
-            got = prop[accept]
-            out[filled:filled + len(got)] = got
-            filled += len(got)
-        return out
+    def sample_T(self, ms, counts, stream: np.random.Generator) -> np.ndarray:
+        out = []
+        for m, size in _blocks(ms, counts):
+            envelope = sum(abs(c) for c in convolved_density_coeffs(self, m).values())
+            while size > 0:
+                prop = stream.random(size)
+                accept = stream.random(size) * envelope < self.density(prop, m).real
+                out.append(prop[accept])
+                size -= len(out[-1])
+        return np.concatenate(out)
 
 
 def convolved_density_coeffs(model: FourierDensity, m: int) -> dict[int, complex]:
@@ -145,15 +165,24 @@ class DiscreteRoots:
         """
         return self.probs if m == 1 else np.clip(np.fft.ifft(self.coeffs ** m).real, 0.0, None)
 
-    def sample_T(self, m: int, stream: np.random.Generator, size: int) -> np.ndarray:
-        # stream.choice(rho, size, p=product_probs(m)) by its own inversion
-        # (same uniforms, same indices), without its per-call checks
-        if m not in self._cdfs:
-            cdf = self.product_probs(m).cumsum()
-            cdf /= cdf[-1]
-            self._cdfs[m] = cdf
-        k = np.searchsorted(self._cdfs[m], stream.random(size), side="right")
+    def sample_T(self, ms, counts, stream: np.random.Generator) -> np.ndarray:
+        # per block, stream.choice(rho, c, p=product_probs(m)) by its own
+        # inversion (same uniforms, same indices), without its per-call checks
+        u, o = stream.random(int(np.sum(counts))), 0
+        k = np.empty(len(u), dtype=np.intp)
+        for m, c in _blocks(ms, counts):
+            if m not in self._cdfs:
+                cdf = self.product_probs(m).cumsum()
+                cdf /= cdf[-1]
+                self._cdfs[m] = cdf
+            k[o:o + c] = np.searchsorted(self._cdfs[m], u[o:o + c], side="right")
+            o += c
         return k / self.rho
+
+
+def _blocks(ms, counts):
+    """(m, c) for each block of c draws of T_m, as Python ints, in order."""
+    return zip(np.asarray(ms).tolist(), np.asarray(counts).tolist())
 
 
 MultiplierModel = Trivial | Uniform | FourierDensity | DiscreteRoots

@@ -20,18 +20,25 @@ def _fixed(value):
                                zero_angles=(), label=f"fixed({value})")
 
 
+def _one_sample(fs, points, lengths, angles):
+    """The (2d,) row of one sample's log_sums, which must not be singular."""
+    sums, singular = cf.log_sums(fs, points, lengths, angles)
+    assert sums.shape == (1, 2 * len(fs)) and singular.tolist() == [False]
+    return sums[0]
+
+
 def test_branch_log_principal_branch():
-    v = cf.log_sums([_fixed(-1.0)], [0.3], [1], [0.0])
+    v = _one_sample([_fixed(-1.0)], [0.3], [1], [0.0])
     assert v[1] == pytest.approx(math.pi)  # negative reals map to +pi
-    v = cf.log_sums([_fixed(1j)], [0.3], [1], [0.0])
+    v = _one_sample([_fixed(1j)], [0.3], [1], [0.0])
     assert v[1] == pytest.approx(math.pi / 2)
-    with pytest.raises(cf.SingularSampleError):
-        cf.log_sums([_fixed(0.0)], [0.3], [1], [0.0])
+    # an exact zero is reported, not raised
+    assert cf.log_sums([_fixed(0.0)], [0.3], [1], [0.0])[1].tolist() == [True]
 
 
 def test_branch_log_sum_accumulates_without_wrapping():
     # two terms each with arg 3pi/4: total arg 3pi/2, outside (-pi, pi]
-    total = cf.log_sums([_fixed(complex(-1.0, 1.0))], [0.3], [1, 2], [0.1, 0.6])
+    total = _one_sample([_fixed(complex(-1.0, 1.0))], [0.3], [1, 2], [0.1, 0.6])
     assert total[0] == pytest.approx(math.log(2.0))
     assert total[1] == pytest.approx(1.5 * math.pi)
 
@@ -67,7 +74,7 @@ def test_log_Z_trivial_matches_deterministic_product():
     ct = CycleType(6, (2, 2, 0, 0, 0, 0))
     lengths = np.repeat([m for m, _ in ct.nonzero()], [c for _, c in ct.nonzero()])
     x = 0.37
-    got = cf.log_sums([cf.char_poly()], [x], lengths, np.zeros(len(lengths)))
+    got = _one_sample([cf.char_poly()], [x], lengths, np.zeros(len(lengths)))
     want = 0.0 + 0.0j
     for m, c in ct.nonzero():
         want += c * np.log(1 - np.exp(-2j * np.pi * m * x))
@@ -80,7 +87,7 @@ def test_multipoint_logZ_trivial_matches_deterministic():
     ct = CycleType(5, (1, 2, 0, 0, 0))
     lengths = np.repeat([m for m, _ in ct.nonzero()], [c for _, c in ct.nonzero()])
     points = [0.21, 0.77]
-    got = cf.log_sums([cf.char_poly()] * 2, points, lengths, np.zeros(len(lengths)))
+    got = _one_sample([cf.char_poly()] * 2, points, lengths, np.zeros(len(lengths)))
     for j, x in enumerate(points):
         want = 0.0 + 0.0j
         for m, c in ct.nonzero():
@@ -96,7 +103,7 @@ def test_w2_charpoly_is_conjugate_collapse_of_log_Z():
     t = np.array([0.11, 0.35, 0.62, 0.87])
     x = 0.123
     want = np.log(1.0 - np.exp(2j * np.pi * (t - lengths * x))).sum()
-    got = cf.log_sums([cf.char_poly()], [x], lengths, -t)
+    got = _one_sample([cf.char_poly()], [x], lengths, -t)
     assert complex(got[0], got[1]) == pytest.approx(want, abs=1e-12)
 
 
@@ -113,7 +120,7 @@ def test_log_sums_matches_det_oracle():
             cycles = perm.cycles()
             lengths = [len(c) for c in cycles]
             t = np.array([z[[j - 1 for j in c]].sum() for c in cycles])
-            v = cf.log_sums([cf.char_poly()] * 3, points, lengths, -t)
+            v = _one_sample([cf.char_poly()] * 3, points, lengths, -t)
             for j, x in enumerate(points):
                 det = cf.det_oracle(perm, np.exp(2j * np.pi * z), x)
                 assert abs(np.exp(complex(v[j], v[3 + j])) - det) < 1e-9
@@ -154,7 +161,7 @@ def test_sym_part_log_sums_match_dense_det_exhaustive():
         for perm in all_permutations(n):
             lengths = [len(c) for c in perm.cycles()]
             for a in (0.0123, 0.1, 0.2718, 0.37, 0.49):
-                real, imag = cf.log_sums([cf.sym_part()], [a], lengths, np.zeros(len(lengths)))
+                real, imag = _one_sample([cf.sym_part()], [a], lengths, np.zeros(len(lengths)))
                 want = abs(cf.sym_char_poly_matrix(perm, 2.0 * math.cos(2.0 * math.pi * a)))
                 assert math.exp(real) == pytest.approx(want, rel=1e-9), (perm.images, a)
                 assert imag == pytest.approx(0.0, abs=1e-12), (perm.images, a)
@@ -168,15 +175,15 @@ def test_multipoint_w_shapes_and_determinism():
 
     def draw(seed):
         rng = np.random.default_rng(seed)
-        return np.concatenate([Uniform().sample_T(m, rng, 1) for m in lengths])
+        return Uniform().sample_T(lengths, np.ones(len(lengths), dtype=int), rng)
 
     angles = draw(1)
     assert angles.shape == (3,)
     assert np.array_equal(angles, draw(1))
-    vals = cf.log_sums(fs, points, lengths, angles)
+    vals = _one_sample(fs, points, lengths, angles)
     assert vals.shape == (4,)
     for j in range(2):
-        one = cf.log_sums([fs[j]], [points[j]], lengths, angles)
+        one = _one_sample([fs[j]], [points[j]], lengths, angles)
         assert vals[j] == pytest.approx(one[0]) and vals[2 + j] == pytest.approx(one[1])
 
 
@@ -188,6 +195,29 @@ def test_multipoint_dimension_mismatch():
     # a (d, K) array is refused, never broadcast against the points
     with pytest.raises(ValueError):
         cf.log_sums([cf.char_poly()] * 2, [0.1, 0.2], [1, 2], np.zeros((2, 2)))
+
+
+def test_block_log_sums_equal_per_sample_sums():
+    # samples of 1..11 cycles in one call: each row is that sample's own sum,
+    # and exactly the samples holding an exact zero are reported
+    rng = np.random.default_rng(5)
+    fs = [cf.char_poly(), cf.sym_part(), cf.antisym_part()]
+    points = [0.25, 0.41, 0.73]
+    sizes = rng.integers(1, 12, size=40)
+    starts = np.cumsum(sizes) - sizes
+    lengths = rng.integers(1, 50, size=sizes.sum())
+    angles = rng.random(sizes.sum())
+    hits = [0, 3, 17, 39]
+    lengths[starts[hits]], angles[starts[hits]] = 4, 0.0  # 4 * 0.25 = 1: f(1) = 0 at point 0
+    sums, singular = cf.log_sums(fs, points, lengths, angles, starts)
+    assert sums.shape == (40, 6)
+    assert np.flatnonzero(singular).tolist() == hits
+    for s in sorted(set(range(40)) - set(hits)):
+        one = slice(starts[s], starts[s] + sizes[s])
+        phi = np.mod(angles[one] + np.outer(points, lengths[one]), 1.0)
+        logs = np.log([f.on_circle(p) for f, p in zip(fs, phi)])
+        want = np.concatenate([logs.real.sum(axis=1), logs.imag.sum(axis=1)])
+        assert np.abs(sums[s] - want).max() <= 1e-12, s
 
 
 def test_permutation_matrix_structure():

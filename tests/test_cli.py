@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -378,3 +379,16 @@ def test_version_matches_pyproject():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with open(pyproject, "rb") as fh:
         assert permchar.__version__ == tomllib.load(fh)["project"]["version"]
+
+
+def test_oversized_discrepancy_is_refused_before_the_sequence_is_built(capsys):
+    # 4e6 points in 1-D would take 32 MB per array: the limit is checked first
+    for phis, n in ((["0.4142135623730951"], 4_000_000), (["0.4142135623730951", "0.7320508075688772"], 4001)):
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, ["discrepancy", "--kronecker", *phis, "--n", str(n)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and "exact discrepancy limited" in err
+        assert peak < 8 * 2 ** 20, (phis, n, peak)

@@ -7,8 +7,8 @@ import pytest
 from scipy.special import gammaln
 
 from permchar import ewens
-from permchar.ewens import (CycleType, EwensParameter, HorizonTooSmallError,
-                            InvalidCycleTypeError, Permutation, SizeLimitError)
+from permchar.ewens import (CycleType, EwensParameter, InvalidCycleTypeError, Permutation,
+                            SizeLimitError)
 
 
 def test_theta_must_be_positive():
@@ -228,25 +228,6 @@ def test_crp_matches_esf_frequencies():
         assert abs(c / N - p) < 4 * se + 1e-9
 
 
-def test_poisson_counts_horizon_guard():
-    with pytest.raises(HorizonTooSmallError):
-        ewens.poisson_counts(np.arange(10), 10, m_max=6)
-
-
-def test_poisson_counts_drops_boundary_spacing():
-    # chain 1 0 0 1: one 3-spacing inside; no appended boundary 1
-    bits = np.array([1, 0, 0, 1, 1, 0], dtype=bool)
-    assert ewens.poisson_counts(np.flatnonzero(bits), len(bits), m_max=3) == (1, 0, 1)
-
-
-def test_feller_coupling_gap_shrinks_with_n():
-    theta = EwensParameter(1.0)
-    rng = np.random.default_rng(7)
-    g_small = ewens.feller_coupling_gap(20, theta, 1, 4000, rng)
-    g_large = ewens.feller_coupling_gap(500, theta, 1, 4000, rng)
-    assert g_large < g_small
-
-
 def test_feller_chain_reader_equals_dense_chain():
     # the same uniforms in the same order: the same ones, the stream left
     # where the dense draw leaves it
@@ -279,25 +260,6 @@ def test_feller_chain_is_shared_by_threads():
             shared = list(pool.map(lambda seed: chain.ones(np.random.default_rng(seed)), range(8)))
         for seed, (got, want) in enumerate(zip(shared, serial)):
             assert np.array_equal(got, want), (t, seed)
-
-
-def test_feller_coupling_gap_equals_dense_chain():
-    def dense_gap(n, theta, m, num_samples, stream):
-        p = ewens.chain_probabilities(max(10 * n, 2 * m), theta)
-        total = 0
-        for _ in range(num_samples):
-            bits = ewens.sample_feller_chain(p, stream)
-            lengths, mults = ewens.cycle_groups(np.flatnonzero(bits[:n]), n)
-            c_m = int(mults[lengths == m].sum())
-            total += abs(c_m - ewens.poisson_counts(np.flatnonzero(bits), len(bits), m)[m - 1])
-        return total / num_samples
-
-    # horizons 200 to 70,000: one chunk, and two
-    for n, t, m, num_samples, seed in ((20, 1.0, 1, 300, 1), (50, 0.6, 3, 300, 2),
-                                       (2000, 2.0, 5, 100, 3), (7000, 0.5, 1, 30, 4)):
-        theta = EwensParameter(t)
-        got = ewens.feller_coupling_gap(n, theta, m, num_samples, np.random.default_rng(seed))
-        assert got == dense_gap(n, theta, m, num_samples, np.random.default_rng(seed))
 
 
 def test_permutation_memoizes_without_changing_identity():

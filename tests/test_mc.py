@@ -7,7 +7,7 @@ import pytest
 from scipy.special import ndtr
 
 from permchar import classfuncs, mc
-from permchar.ewens import EwensParameter, FellerChain
+from permchar.ewens import EwensParameter, FellerChain, cycle_groups
 
 SQRT2 = math.sqrt(2.0) % 1.0
 SQRT3 = math.sqrt(3.0) % 1.0
@@ -176,36 +176,74 @@ def test_singular_sample_is_redrawn_from_the_retry_stream(monkeypatch):
     clean = mc.run_experiment(cfg)
     fs, model = mc.validate_config(cfg)
     chain = FellerChain(cfg.n, EwensParameter(cfg.theta))
-    raw0 = mc._eval_sample(cfg, fs, model, chain, mc.derive_stream(cfg.master_seed, 0, 1))
+    lengths, angles = mc._eval_sample(cfg, model, chain, mc.derive_stream(cfg.master_seed, 0, 1))
+    raw0 = classfuncs.log_sums(fs, cfg.points, lengths, angles)[0]
     log_sums = classfuncs.log_sums
     calls = []
 
     def singular_once(*args):
         calls.append(None)
+        sums, singular = log_sums(*args)
         if len(calls) == 1:  # the first draw of sample 0
-            raise classfuncs.SingularSampleError("patched")
-        return log_sums(*args)
+            singular[0] = True
+        return sums, singular
 
     monkeypatch.setattr(classfuncs, "log_sums", singular_once)
     r = mc.run_experiment(cfg)
     assert r.singular_rejections == 1
     assert np.array_equal(r.samples[1:], clean.samples[1:])
-    assert np.array_equal(r.samples[0], mc._normalize(cfg, fs, raw0[None, :])[0])
+    assert np.array_equal(r.samples[0], mc._normalize(cfg, fs, raw0)[0])
     assert not np.array_equal(r.samples[0], clean.samples[0])
 
 
 def test_singular_rate_above_the_cap_is_a_regime_violation(monkeypatch):
     cfg = mc.ExperimentConfig(n=50, theta=1.0, points=(SQRT2,), num_samples=10, master_seed=2)
+    log_sums = classfuncs.log_sums
     calls = []
 
-    def always_singular(*args):
+    def always_singular(*args):  # the first sample of every call: sample 0, every draw
         calls.append(None)
-        raise classfuncs.SingularSampleError("patched")
+        sums, singular = log_sums(*args)
+        singular[0] = True
+        return sums, singular
 
     monkeypatch.setattr(classfuncs, "log_sums", always_singular)
     with pytest.raises(mc.RegimeViolationError, match="singular-sample rate"):
         mc.run_experiment(cfg)
     assert len(calls) == 2  # the cap is max(1, 0.1% of 10 samples) = 1 rejection
+
+
+def _per_sample_raw(cfg, fs, model, chain, i):
+    """Sample i drawn and summed on its own: the reference for the blocks."""
+    rng = mc.derive_stream(cfg.master_seed, i)
+    lengths, mults = cycle_groups(chain.ones(rng), cfg.n)
+    cycle_lengths = np.repeat(lengths, mults)
+    if cfg.kind == "total-cycles":
+        return np.array([len(cycle_lengths), 0.0])
+    angles = model.sample_T(np.ones_like(lengths) if cfg.kind == "w1" else lengths, mults, rng)
+    if cfg.kind == "logZ":
+        angles = -angles
+    logs = np.array([np.log(f.on_circle(np.mod(angles + cycle_lengths * x, 1.0)))
+                     for f, x in zip(fs, cfg.points)])
+    return np.concatenate([logs.real.sum(axis=1), logs.imag.sum(axis=1)])
+
+
+def test_blocks_equal_a_per_sample_loop():
+    # two full blocks and a part of one, for every law and kind
+    discrete = {"type": "discrete", "rho": 3, "probs": [0.5, 0.3, 0.2]}
+    fourier = {"type": "fourier", "coeffs": {"1": 0.3, "-1": 0.3}}
+    runs = [("logZ", spec, None) for spec in ({"type": "uniform"}, {"type": "trivial"}, discrete, fourier)]
+    runs += [("w1", discrete, None), ("w2", {"type": "uniform"}, ("sympart", "antisympart")),
+             ("total-cycles", {"type": "uniform"}, None)]
+    for seed, (kind, spec, labels) in enumerate(runs):
+        points = () if kind == "total-cycles" else (SQRT2, SQRT3)
+        cfg = mc.ExperimentConfig(n=200, theta=1.3, points=points, kind=kind, function_labels=labels,
+                                  model_spec=spec, num_samples=2 * mc._BLOCK + 3, master_seed=seed)
+        fs, model = mc.validate_config(cfg)
+        chain = FellerChain(cfg.n, EwensParameter(cfg.theta))
+        raw = np.array([_per_sample_raw(cfg, fs, model, chain, i) for i in range(cfg.num_samples)])
+        got = mc.run_experiment(cfg).samples
+        assert np.abs(got - mc._normalize(cfg, fs, raw)).max() <= 1e-13, (kind, spec)
 
 
 def test_empirical_centering_subtracts_the_column_means():
@@ -255,3 +293,16 @@ def test_large_n_run_holds_no_array_of_n():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20
+
+
+def test_a_block_of_many_cycles_closes_early():
+    # at theta = 1000 a sample has about 4,600 cycles: 100 samples in one
+    # log_sums call would peak near 50 MB, a block closed at CHUNK cycles near 9 MB
+    cfg = mc.ExperimentConfig(n=10 ** 5, theta=1000.0, points=(SQRT2,), num_samples=100, master_seed=1)
+    tracemalloc.start()
+    try:
+        mc.run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20

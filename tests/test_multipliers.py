@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from permchar import multipliers as mult
+from permchar.ewens import EwensParameter, FellerChain, cycle_groups
 from permchar.multipliers import (DiscreteRoots, FourierDensity, InvalidCoefficientsError,
                                   Trivial, Uniform)
 
@@ -39,20 +40,20 @@ def test_discrete_point_mass_T_is_exact_at_large_m():
         for k in range(rho):
             model = DiscreteRoots(rho, probs=np.eye(rho)[k])
             for m in (1, 2, rho, 30_000, 300_001, 10 ** 8 + 7):
-                got = model.sample_T(m, Uniforms(), 101)
+                got = model.sample_T([m], [101], Uniforms())
                 assert np.array_equal(got, np.full(101, k * m % rho / rho)), (rho, k, m)
 
 
 def test_trivial_model():
     rng = np.random.default_rng(0)
     m = Trivial()
-    assert np.all(m.sample_T(1, rng, 5) == 0.0)
-    assert np.all(m.sample_T(7, rng, 5) == 0.0)
+    assert np.all(m.sample_T([1], [5], rng) == 0.0)
+    assert np.array_equal(m.sample_T([7, 2], [5, 3], rng), np.zeros(8))
 
 
 def test_uniform_product_is_uniform():
     rng = np.random.default_rng(1)
-    t = Uniform().sample_T(3, rng, 20000)
+    t = Uniform().sample_T([3], [20000], rng)
     assert 0.0 <= t.min() and t.max() < 1.0
     hist, _ = np.histogram(t, bins=10, range=(0, 1))
     assert np.abs(hist - 2000).max() < 5 * np.sqrt(2000)
@@ -60,7 +61,7 @@ def test_uniform_product_is_uniform():
 
 def test_uniform_z_is_the_plain_uniform_stream():
     # z is T_1, and w1 relies on T_1 drawing exactly rng.random(k)
-    z = Uniform().sample_T(1, np.random.default_rng(11), 9)
+    z = Uniform().sample_T([1], [9], np.random.default_rng(11))
     assert np.array_equal(z, np.random.default_rng(11).random(9))
 
 
@@ -75,7 +76,7 @@ def test_fourier_density_sampling_matches_density():
     # g(phi) = 1 + 0.8 cos(2 pi phi): c_1 = c_{-1} = 0.4
     model = FourierDensity({1: 0.4, -1: 0.4})
     rng = np.random.default_rng(5)
-    z = model.sample_T(1, rng, 50000)
+    z = model.sample_T([1], [50000], rng)
     # E[cos(2 pi z)] = 0.4 for this density
     est = np.cos(2 * np.pi * z).mean()
     assert est == pytest.approx(0.4, abs=0.01)
@@ -86,14 +87,14 @@ def test_fourier_density_product_coefficients():
     conv = mult.convolved_density_coeffs(model, 3)
     assert conv[1] == pytest.approx(0.4 ** 3)
     rng = np.random.default_rng(6)
-    t = model.sample_T(3, rng, 50000)
+    t = model.sample_T([3], [50000], rng)
     assert np.cos(2 * np.pi * t).mean() == pytest.approx(0.4 ** 3, abs=0.01)
     # E[e^{-2 pi i k T_m}] = c_k^m, with a complex c_1 so phases are checked too
     c1 = 0.3 + 0.2j
     model = FourierDensity({1: c1, -1: c1.conjugate(), 2: 0.1, -2: 0.1})
     n = 200_000
     for m in (1, 2, 3, 5):
-        t = model.sample_T(m, rng, n)
+        t = model.sample_T([m], [n], rng)
         for k in (1, 2):
             est = np.exp(-2j * np.pi * k * t).mean()
             assert abs(est - model.coeffs[k] ** m) < 5 / np.sqrt(n)
@@ -113,7 +114,7 @@ def test_discrete_roots_product_law():
 def test_discrete_roots_samples_on_lattice():
     model = DiscreteRoots(3, probs=np.array([0.2, 0.5, 0.3]))
     rng = np.random.default_rng(2)
-    z = model.sample_T(1, rng, 1000)
+    z = model.sample_T([1], [1000], rng)
     assert set(np.round(z * 3).astype(int)) <= {0, 1, 2}
 
 
@@ -122,9 +123,9 @@ def test_sample_joint_cycle_shares_cycle_length():
     # T_0 is the empty product, angle 0, for every law except the Fourier
     # one, whose c_j^0 = 1 are not the coefficients of a density
     for model in (Trivial(), Uniform(), DiscreteRoots(3, probs=np.array([0.2, 0.5, 0.3]))):
-        assert np.all(model.sample_T(0, rng, 3) == 0.0)
+        assert np.all(model.sample_T([0], [3], rng) == 0.0)
     with pytest.raises(ValueError):
-        FourierDensity({1: 0.4, -1: 0.4}).sample_T(0, rng, 1)
+        FourierDensity({1: 0.4, -1: 0.4}).sample_T([0], [1], rng)
 
 
 def test_uniform_T_in_chunks_equals_one_block():
@@ -136,7 +137,7 @@ def test_uniform_T_in_chunks_equals_one_block():
             for seed in range(2):
                 block, chunked = np.random.default_rng(seed), np.random.default_rng(seed)
                 want = np.mod(block.random((m, size)).sum(axis=0), 1.0)
-                got = Uniform().sample_T(m, chunked, size)
+                got = Uniform().sample_T([m], [size], chunked)
                 assert got.shape == (size,), (m, size, seed)
                 if m * size <= C:
                     assert np.array_equal(got, want), (m, size, seed)
@@ -147,13 +148,59 @@ def test_uniform_T_in_chunks_equals_one_block():
 
 
 def test_discrete_T_equals_stream_choice():
+    # one call for all blocks draws what stream.choice draws block by block
+    ms = [1, 2, 3, 7, 30, 59] * 4
+    sizes = [1, 2, 5, 17] * 6
     for rho, probs in ((1, [1.0]), (2, [0.3, 0.7]), (3, [0.5, 0.25, 0.25]),
                        (5, [0.1, 0.2, 0.3, 0.15, 0.25])):
         model = DiscreteRoots(rho, probs=np.array(probs))
         for seed in range(4):
             ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            for m in (1, 2, 3, 7, 30, 59):
-                for size in (1, 2, 5, 17):
-                    want = ref.choice(rho, size=size, p=model.product_probs(m)) / rho
-                    assert np.array_equal(model.sample_T(m, ours, size), want), (rho, seed, m, size)
+            want = np.concatenate([ref.choice(rho, size=size, p=model.product_probs(m)) / rho
+                                   for m, size in zip(ms, sizes)])
+            assert np.array_equal(model.sample_T(ms, sizes, ours), want), (rho, seed)
+            assert ours.random() == ref.random()
+
+
+def _per_length_T(model, m, c, stream):
+    """c draws of T_m as the laws drew them, one call per cycle length."""
+    if isinstance(model, Trivial):
+        return np.zeros(c)
+    if isinstance(model, Uniform):
+        rows = max(1, mult.CHUNK // c)
+        total = stream.random((min(m, rows), c)).sum(axis=0)
+        for start in range(rows, m, rows):
+            total += stream.random((min(rows, m - start), c)).sum(axis=0)
+        return np.mod(total, 1.0)
+    if isinstance(model, DiscreteRoots):
+        return stream.choice(model.rho, size=c, p=model.product_probs(m)) / model.rho
+    envelope = sum(abs(a) for a in mult.convolved_density_coeffs(model, m).values())
+    out = np.empty(0)
+    while len(out) < c:
+        prop = stream.random(c - len(out))
+        accept = stream.random(c - len(out)) * envelope < model.density(prop, m).real
+        out = np.append(out, prop[accept])
+    return out
+
+
+def test_one_call_equals_per_length_calls():
+    # a sample's draws in one call: bit for bit those of one call per length,
+    # in the same order, and the stream left where those calls leave it
+    C = mult.CHUNK
+    models = (Trivial(), Uniform(), DiscreteRoots(3, probs=np.array([0.5, 0.3, 0.2])),
+              FourierDensity({1: 0.3 + 0.1j, -1: 0.3 - 0.1j}))
+    theta = EwensParameter(1.0)
+    cases = []
+    for n, seed in ((200, 0), (10 ** 4, 1), (10 ** 4, 2), (10 ** 5, 3)):
+        lengths, mults = cycle_groups(FellerChain(n, theta).ones(np.random.default_rng(seed)), n)
+        cases += [(lengths, mults),  # logZ and w2 read T_m
+                  (np.ones_like(lengths), mults)]  # w1 reads z = T_1
+    # blocks of more than CHUNK uniforms: m * c > CHUNK with c = 1, and c > CHUNK
+    cases += [([1, 2, C + 3, 5, 3], [4, 1, 1, 2, 7]), ([C // 3, 1, 4], [5, 2, 3]), ([1, 6], [C + 9, 2])]
+    for ms, counts in cases:
+        for model in models:
+            ours, ref = np.random.default_rng(7), np.random.default_rng(7)
+            got = model.sample_T(ms, counts, ours)
+            want = np.concatenate([_per_length_T(model, int(m), int(c), ref) for m, c in zip(ms, counts)])
+            assert np.array_equal(got, want), (type(model).__name__, ms, counts)
             assert ours.random() == ref.random()
