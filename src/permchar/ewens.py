@@ -177,6 +177,7 @@ class FellerChain:
             cand = np.flatnonzero(u < t / (t + (s + 1) - 1.0))
             i = (cand + (s + 1)).astype(float)
             parts.append(cand[u[cand] < t / (t + i - 1.0)] + s)
+            del u  # free this chunk before the next one is drawn
         return np.concatenate(parts)
 
 

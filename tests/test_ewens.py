@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -260,6 +261,20 @@ def test_feller_chain_is_shared_by_threads():
             shared = list(pool.map(lambda seed: chain.ones(np.random.default_rng(seed)), range(8)))
         for seed, (got, want) in enumerate(zip(shared, serial)):
             assert np.array_equal(got, want), (t, seed)
+
+
+def test_feller_chain_draw_holds_one_chunk_of_uniforms():
+    # a chunk of CHUNK uniforms is 512 KB: the previous chunk is freed before
+    # the next is drawn, so a draw never holds two of them
+    chain = ewens.FellerChain(4 * ewens.CHUNK + 1, EwensParameter(1.0))
+    stream = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        chain.ones(stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.75 * 2 ** 20
 
 
 def test_permutation_memoizes_without_changing_identity():
