@@ -24,6 +24,8 @@ import numpy as np
 from . import classfuncs, equidist, ewens, limits, mc
 
 CONFIG_VERSION = 1
+# a JSON sample row holds all n counts: 357 MB of peak memory at n = 1e7
+_JSON_SAMPLE_MAX_N = 10 ** 7
 
 
 class ConfigError(ValueError):
@@ -88,6 +90,10 @@ def _json_pieces(obj, nl: str):
 def cmd_sample(args) -> int:
     if args.n < 1 or args.count < 1 or args.seed < 0:
         raise ConfigError("need n >= 1, count >= 1, seed >= 0")
+    if args.format == "json" and args.n > _JSON_SAMPLE_MAX_N:
+        raise ConfigError(f"--format json writes all n counts per sample and takes n <= "
+                          f"{_JSON_SAMPLE_MAX_N}; --format csv writes only the nonzero (m, c) "
+                          f"and works at any n")
     chain = ewens.FellerChain(args.n, ewens.EwensParameter(args.theta))
     groups = (ewens.cycle_groups(chain.ones(mc.derive_stream(args.seed, i)), args.n)
               for i in range(args.count))

@@ -2,10 +2,10 @@
 
 The Feller coupling builds the cycle counts of an Ewens(theta) permutation
 from a single chain of independent Bernoulli bits.  A chain is read as the
-positions of its ones: `FellerChain.ones` draws them CHUNK uniforms at a
-time, and every consumer reads them through one reader, `cycle_groups`
-(the cycle lengths).  The dense chain, `sample_feller_chain`, is
-FellerChain's first chunk and its test oracle.
+positions of its ones: `FellerChain.ones` draws the first CHUNK bits densely
+and the rest by thinning, and every consumer reads them through one reader,
+`cycle_groups` (the cycle lengths).  The dense chain, `sample_feller_chain`,
+is FellerChain's first chunk and its test oracle.
 The Chinese restaurant process provides a second, independent sampler
 producing the explicit permutation the oracles need.
 """
@@ -21,8 +21,9 @@ import numpy as np
 
 _lgamma = np.vectorize(math.lgamma, otypes=[float])
 
-# Uniforms per draw wherever a long block of them is read in pieces: the
-# Feller chain here and the uniform T_m in multipliers.
+# Chains up to CHUNK, and samples reading up to CHUNK uniforms for their
+# uniform T_m (multipliers), keep the stream the acceptance checks were
+# pinned on; past it a draw reads O(cycles) variates.
 CHUNK = 1 << 16
 
 
@@ -141,7 +142,7 @@ def sample_feller_chain(p: np.ndarray, stream: np.random.Generator) -> np.ndarra
     """Draw the bits xi_1..xi_n of the Feller chain, with xi_1 = 1.
 
     `p` is chain_probabilities(n, theta).  This dense draw is FellerChain's
-    first chunk and, over the whole chain, its test oracle.
+    first chunk and, up to n = CHUNK, its test oracle.
     """
     bits = stream.random(len(p)) < p
     bits[0] = True
@@ -149,17 +150,18 @@ def sample_feller_chain(p: np.ndarray, stream: np.random.Generator) -> np.ndarra
 
 
 class FellerChain:
-    """The Feller chain of length n, read CHUNK uniforms at a time.
+    """The Feller chain of length n, drawn in O(CHUNK + cycles) memory.
 
-    `ones(stream)` consumes the same n uniforms in the same order as
-    sample_feller_chain(chain_probabilities(n, theta), stream) and returns
-    the positions of that chain's ones, so a draw holds O(CHUNK) memory
-    instead of O(n).  The first CHUNK positions are compared with their
-    probabilities as in the dense chain.  Past them, p_i does not increase
-    with i, so a chunk starting at i = s + 1 keeps only the uniforms below
-    p_{s+1} and tests those against their own p_i, computed with the
-    float operations of chain_probabilities.  An instance holds no state
-    that a draw changes, so threads may share it.
+    The first CHUNK positions are compared with their probabilities as in
+    sample_feller_chain(chain_probabilities(n, theta), stream): a chain of
+    n <= CHUNK is the dense chain, bit for bit, and reads the same uniforms.
+    Past CHUNK the chain is drawn by thinning over doubling chunks
+    s+1..s+L, L = min(s, n - s).  p_i does not increase with i, so each
+    chunk's ones are the Bernoulli(q) candidates, q = p_{s+1}, kept with
+    probability p_i / q: a Binomial(L, q) count of candidates at distinct
+    uniform offsets, each kept when its own uniform times q is below p_i.
+    That is the chain's law, at O(log(n / CHUNK)) numpy calls a draw.  An
+    instance holds no state that a draw changes, so threads may share it.
     """
 
     def __init__(self, n: int, theta: EwensParameter):
@@ -170,14 +172,14 @@ class FellerChain:
     def ones(self, stream: np.random.Generator) -> np.ndarray:
         """Positions (0-based, ascending) of the ones of one chain draw."""
         parts = [np.flatnonzero(sample_feller_chain(self._p_head, stream))]
-        t = self._theta
-        for s in range(CHUNK, self.n, CHUNK):
-            k = min(CHUNK, self.n - s)
-            u = stream.random(k)
-            cand = np.flatnonzero(u < t / (t + (s + 1) - 1.0))
-            i = (cand + (s + 1)).astype(float)
-            parts.append(cand[u[cand] < t / (t + i - 1.0)] + s)
-            del u  # free this chunk before the next one is drawn
+        t, s = self._theta, CHUNK
+        while s < self.n:
+            L = min(s, self.n - s)
+            q = t / (t + s)
+            # the sort discards the order of the offsets, so they are not shuffled
+            cand = np.sort(stream.choice(L, stream.binomial(L, q), replace=False, shuffle=False))
+            parts.append(cand[stream.random(len(cand)) * q < t / (t + (cand + s).astype(float))] + s)
+            s += L
         return np.concatenate(parts)
 
 

@@ -3,8 +3,6 @@
 Each sample derives its own random stream from (master_seed, sample
 index), so results are a pure function of the configuration and do not
 depend on how samples are scheduled or grouped into evaluation blocks.
-Past CHUNK a helper thread draws every other sample, two samples are in
-flight, and the output is byte-identical to one thread's.
 """
 
 from __future__ import annotations
@@ -12,9 +10,6 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-import os
-import queue
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -233,47 +228,13 @@ def _eval_sample(cfg: ExperimentConfig, model, chain: FellerChain,
 def _draw_blocks(cfg: ExperimentConfig, model, chain: FellerChain, indices, retry: int):
     """(indices, draws) of the samples `indices`, drawn from their retry
     streams, in blocks of _BLOCK samples or, at large theta, CHUNK cycles."""
-    def draw(i):
-        return _eval_sample(cfg, model, chain, derive_stream(cfg.master_seed, i, retry))
-
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else {0}
-    paired = chain.n > CHUNK and len(cpus) > 1
     block, cycles = [], 0
-    for i, sample in zip(indices, (_paired_map if paired else map)(draw, indices)):
-        block.append((i, sample))
-        cycles += len(sample[0])
+    for i in indices:
+        block.append((i, _eval_sample(cfg, model, chain, derive_stream(cfg.master_seed, i, retry))))
+        cycles += len(block[-1][1][0])
         if len(block) == _BLOCK or cycles >= CHUNK or i == indices[-1]:
             yield zip(*block)
             block, cycles = [], 0
-
-
-def _paired_map(fn, items):
-    """map(fn, items), with a helper thread computing each odd-position item while
-    this thread computes the one before it; the helper's exceptions re-raise here."""
-    requests, results = queue.SimpleQueue(), queue.SimpleQueue()
-
-    def helper():
-        for item in iter(requests.get, None):
-            try:
-                results.put((True, fn(item)))
-            except BaseException as e:
-                results.put((False, e))
-
-    thread = threading.Thread(target=helper, daemon=True)
-    thread.start()
-    try:
-        it = iter(items)
-        for first, second in itertools.zip_longest(it, it):
-            requests.put(second)  # None, after an odd number of items, stops the helper
-            yield fn(first)
-            if second is not None:
-                ok, value = results.get()
-                if not ok:
-                    raise value
-                yield value
-    finally:
-        requests.put(None)
-        thread.join()
 
 
 def _eval_block(cfg: ExperimentConfig, fs, draws) -> tuple[np.ndarray, np.ndarray]:
@@ -289,10 +250,8 @@ def _eval_block(cfg: ExperimentConfig, fs, draws) -> tuple[np.ndarray, np.ndarra
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run the configured experiment; deterministic given the config.
 
-    Samples are drawn in index order, two at a time on two threads when the
-    chain is longer than CHUNK and two CPUs are free, and evaluated a block
-    at a time; the output is byte-identical to one thread's.  A sample that
-    hits an exact zero is drawn again from its next retry stream.
+    Samples are drawn one by one and evaluated a block at a time.  A sample
+    that hits an exact zero is drawn again from its next retry stream.
     """
     fs, model = validate_config(cfg)
     chain = FellerChain(cfg.n, EwensParameter(cfg.theta))

@@ -34,37 +34,23 @@ class Trivial:
 
 @dataclass(frozen=True)
 class Uniform:
-    """z uniform on the unit circle."""
+    """z uniform on the unit circle.
+
+    T_m is again uniform.  A sample that reads at most CHUNK uniforms in all
+    (every sample of n <= CHUNK) sums m uniforms per T_m, as numpy sums an
+    (m, c) block, which keeps its stream; past CHUNK it reads one uniform
+    per cycle.
+    """
 
     def sample_T(self, ms, counts, stream: np.random.Generator) -> np.ndarray:
-        # T_m is again uniform, so one uniform per draw would be exact too;
-        # summing m uniforms keeps every uniform stream unchanged.  The c draws
-        # of T_m read an (m, c) block, summed as numpy sums that block.  Runs of
-        # consecutive blocks of at most CHUNK uniforms in all are one read; a
-        # longer block is read in chunks of whole rows, whose sums are added.
-        sums, run, run_size = [], [], 0
-
-        def read_run():
-            u, o = stream.random(run_size), 0
-            for m, c in run:
-                sums.append(u[o:o + m * c].reshape(m, c).sum(axis=0))
-                o += m * c
-
-        for m, c in _blocks(ms, counts):
-            if run and run_size + m * c > CHUNK:
-                read_run()
-                run, run_size = [], 0
-            if m * c <= CHUNK:
-                run.append((m, c))
-                run_size += m * c
-                continue
-            rows = max(1, CHUNK // c)
-            total = stream.random((rows, c)).sum(axis=0)
-            for start in range(rows, m, rows):
-                total += stream.random((min(rows, m - start), c)).sum(axis=0)
-            sums.append(total)
-        if run:
-            read_run()
+        blocks = list(_blocks(ms, counts))
+        size = sum(m * c for m, c in blocks)
+        if size > CHUNK:
+            return stream.random(sum(c for _, c in blocks))
+        u, o, sums = stream.random(size), 0, []
+        for m, c in blocks:
+            sums.append(u[o:o + m * c].reshape(m, c).sum(axis=0))
+            o += m * c
         return np.mod(np.concatenate(sums), 1.0)
 
 
@@ -126,7 +112,7 @@ class DiscreteRoots:
     or from their DFT c_j = sum_k p_k e^{-2 pi i j k/rho}, which needs c_0 = 1
     and Hermitian symmetry c_{rho-j} = conj(c_j) so that p is real.  The table
     is checked here, once.  T_m has coefficients coeffs**m, so its table is
-    their inverse DFT; sample_T caches its CDF per m.
+    their inverse DFT, computed for each sample's lengths in one batch.
     """
 
     def __init__(self, rho: int, probs: np.ndarray | None = None,
@@ -155,7 +141,6 @@ class DiscreteRoots:
                 f"discrete probs must be {rho} nonnegative reals summing to 1")
         self.probs = probs
         self.coeffs = np.fft.fft(probs)
-        self._cdfs: dict[int, np.ndarray] = {}
 
     def product_probs(self, m: int) -> np.ndarray:
         """Law of T_m via c -> c^m.
@@ -167,15 +152,19 @@ class DiscreteRoots:
 
     def sample_T(self, ms, counts, stream: np.random.Generator) -> np.ndarray:
         # per block, stream.choice(rho, c, p=product_probs(m)) by its own
-        # inversion (same uniforms, same indices), without its per-call checks
-        u, o = stream.random(int(np.sum(counts))), 0
+        # inversion (same uniforms, same indices), without its per-call checks.
+        # ifft transforms row by row, so a batch row equals product_probs(m)
+        # bit for bit; so do the scalar exponents, where an array of them
+        # would round c**2 differently.
+        blocks = list(_blocks(ms, counts))
+        probs = np.clip(np.fft.ifft([self.coeffs ** m for m, _ in blocks], axis=1).real, 0.0, None)
+        probs[[m == 1 for m, _ in blocks]] = self.probs
+        cdfs = probs.cumsum(axis=1)
+        cdfs /= cdfs[:, -1:]
+        u, o = stream.random(sum(c for _, c in blocks)), 0
         k = np.empty(len(u), dtype=np.intp)
-        for m, c in _blocks(ms, counts):
-            if m not in self._cdfs:
-                cdf = self.product_probs(m).cumsum()
-                cdf /= cdf[-1]
-                self._cdfs[m] = cdf
-            k[o:o + c] = np.searchsorted(self._cdfs[m], u[o:o + c], side="right")
+        for cdf, (_, c) in zip(cdfs, blocks):
+            k[o:o + c] = np.searchsorted(cdf, u[o:o + c], side="right")
             o += c
         return k / self.rho
 

@@ -392,3 +392,18 @@ def test_oversized_discrepancy_is_refused_before_the_sequence_is_built(capsys):
             tracemalloc.stop()
         assert code == 2 and "exact discrepancy limited" in err
         assert peak < 8 * 2 ** 20, (phis, n, peak)
+
+
+def test_json_sample_past_its_limit_is_refused_before_the_output_is_opened(tmp_path, capsys):
+    # all n counts per row: n = 1e9 would need gigabytes, the CSV rows do not
+    target = tmp_path / "s.json"
+    argv = ["sample", "--n", "1000000000", "--theta", "1", "--count", "2", "--seed", "3"]
+    for tail in (["--output", str(target)], []):
+        code, out, err = run(capsys, argv + tail)
+        assert code == 2 and out == "" and "--format csv" in err
+        assert not target.exists()
+    code, out, _ = run(capsys, argv + ["--format", "csv"])
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert code == 0 and {r[0] for r in rows} == {"0", "1"}
+    for i in "01":
+        assert sum(int(m) * int(c) for s, m, c in rows if s == i) == 10 ** 9

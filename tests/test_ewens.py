@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from scipy.special import gammaln
+from scipy.stats import chi2
 
 from permchar import ewens
 from permchar.ewens import (CycleType, EwensParameter, InvalidCycleTypeError, Permutation,
@@ -230,24 +231,72 @@ def test_crp_matches_esf_frequencies():
 
 
 def test_feller_chain_reader_equals_dense_chain():
-    # the same uniforms in the same order: the same ones, the stream left
-    # where the dense draw leaves it
+    # up to CHUNK the same uniforms in the same order: the same ones, the
+    # stream left where the dense draw leaves it; past CHUNK the ones below
+    # CHUNK are the dense chain's there
     C = ewens.CHUNK
     for n in (1, C - 1, C, C + 1, 3 * C + 7):
         for t in (0.3, 1.0, 2.7, 50.0):
             theta = EwensParameter(t)
             chain = ewens.FellerChain(n, theta)
-            p = ewens.chain_probabilities(n, theta)
+            p = ewens.chain_probabilities(min(n, C), theta)
             for seed in range(3):
                 dense, chunked = np.random.default_rng(seed), np.random.default_rng(seed)
                 want = np.flatnonzero(ewens.sample_feller_chain(p, dense))
                 got = chain.ones(chunked)
-                assert got.dtype == want.dtype and np.array_equal(got, want), (n, t, seed)
+                assert got.dtype == want.dtype, (n, t, seed)
+                assert np.array_equal(got[got < C], want), (n, t, seed)
+                if n > C:
+                    continue
+                assert np.array_equal(got, want), (n, t, seed)
                 assert chunked.random() == dense.random()
-                lengths, mults = ewens.cycle_groups(chain.ones(np.random.default_rng(seed)), n)
-                dense_lengths, dense_mults = ewens.cycle_groups(np.flatnonzero(
-                    ewens.sample_feller_chain(p, np.random.default_rng(seed))), n)
+                lengths, mults = ewens.cycle_groups(got, n)
+                dense_lengths, dense_mults = ewens.cycle_groups(want, n)
                 assert np.array_equal(lengths, dense_lengths) and np.array_equal(mults, dense_mults)
+
+
+def test_thinned_chain_has_the_exact_cycle_type_law(monkeypatch):
+    # with CHUNK = 2 the chain at n = 10 is thinned over the chunks 3-4,
+    # 5-8 and 9-10; its cycle types, pooled over seeds, pass a chi-square
+    # test against the exact law at a Bonferroni level over the thetas
+    monkeypatch.setattr(ewens, "CHUNK", 2)
+    n, thetas, seeds, draws, alpha = 10, (0.5, 1.0, 2.7), range(4), 1500, 1e-4
+    for t in thetas:
+        theta = EwensParameter(t)
+        exact = {ct.counts: p for ct, p in ewens.exact_feller_distribution(n, theta).items()}
+        chain = ewens.FellerChain(n, theta)
+        seen = dict.fromkeys(exact, 0)
+        for seed in seeds:
+            stream = np.random.default_rng(seed)
+            for _ in range(draws):
+                counts = [0] * n
+                for m in np.diff(np.append(chain.ones(stream), n)).tolist():
+                    counts[m - 1] += 1
+                seen[tuple(counts)] += 1
+        total = draws * len(seeds)
+        expected = np.array([exact[ct] for ct in seen]) * total
+        observed = np.array(list(seen.values()))
+        # cells expected fewer than 5 times are pooled into one
+        small = expected < 5
+        expected = np.append(expected[~small], expected[small].sum())
+        observed = np.append(observed[~small], observed[small].sum())
+        stat = ((observed - expected) ** 2 / expected).sum()
+        assert chi2.sf(stat, len(expected) - 1) > alpha / len(thetas), (t, stat, len(expected))
+
+
+def test_tail_ones_have_the_chain_mean():
+    # the ones past CHUNK, over two whole chunks and a part of one, number
+    # sum p_i on average: within 6 standard errors over pooled seeds
+    C = ewens.CHUNK
+    n, draws = 5 * C + 3, 150
+    for t in (0.5, 2.7, 1000.0):
+        theta = EwensParameter(t)
+        chain = ewens.FellerChain(n, theta)
+        p = ewens.chain_probabilities(n, theta)[C:]
+        got = [np.count_nonzero(chain.ones(stream) >= C)
+               for stream in map(np.random.default_rng, range(4)) for _ in range(draws)]
+        se = math.sqrt((p * (1 - p)).sum() / len(got))
+        assert abs(np.mean(got) - p.sum()) < 6 * se, (t, np.mean(got), p.sum(), se)
 
 
 def test_feller_chain_is_shared_by_threads():

@@ -1,9 +1,5 @@
 import dataclasses
-import json
 import math
-import os
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -310,103 +306,3 @@ def test_a_block_of_many_cycles_closes_early():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
-
-
-def _two_cpus(monkeypatch):
-    # the helper thread runs whatever the affinity of the test process
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-
-
-def _threads_drawing(monkeypatch):
-    """The set of threads that draw samples from now on."""
-    idents, eval_sample = set(), mc._eval_sample
-
-    def recorded(*args):
-        idents.add(threading.get_ident())
-        return eval_sample(*args)
-
-    monkeypatch.setattr(mc, "_eval_sample", recorded)
-    return idents
-
-
-def test_two_threads_draw_what_one_thread_draws(monkeypatch):
-    # above CHUNK a helper draws every other sample; its output is bit-equal
-    # to the same run on one thread, for every law and kind
-    discrete = {"type": "discrete", "rho": 3, "probs": [0.5, 0.3, 0.2]}
-    runs = [("logZ", {"type": "uniform"}, (SQRT2, SQRT3)), ("logZ", discrete, (SQRT2,)),
-            ("w1", {"type": "uniform"}, (SQRT2,)), ("total-cycles", {"type": "uniform"}, ())]
-    _two_cpus(monkeypatch)
-    idents = _threads_drawing(monkeypatch)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # switch threads often: DiscreteRoots fills its CDF cache from both
-    try:
-        for seed, (kind, spec, points) in enumerate(runs):
-            cfg = mc.ExperimentConfig(n=3 * mc.CHUNK, theta=1.3, points=points, kind=kind,
-                                      model_spec=spec, num_samples=7, master_seed=seed)
-            threaded = mc.run_experiment(cfg)
-            with monkeypatch.context() as m:
-                m.setattr(mc, "_paired_map", map)
-                serial = mc.run_experiment(cfg)
-            assert np.array_equal(threaded.samples, serial.samples), kind
-            assert json.dumps(threaded.to_dict()) == json.dumps(serial.to_dict()), kind
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(idents) == 2
-
-
-def test_a_sample_the_helper_drew_is_redrawn_when_singular(monkeypatch):
-    cfg = mc.ExperimentConfig(n=3 * mc.CHUNK, theta=1.0, points=(SQRT2,), num_samples=5, master_seed=4)
-    _two_cpus(monkeypatch)
-    log_sums = classfuncs.log_sums
-
-    def run(paired_map):
-        calls = []
-
-        def singular_once(*args):
-            calls.append(None)
-            sums, singular = log_sums(*args)
-            if len(calls) == 1:  # the first draw of sample 1, drawn by the helper when there is one
-                singular[1] = True
-            return sums, singular
-
-        with monkeypatch.context() as m:
-            m.setattr(classfuncs, "log_sums", singular_once)
-            m.setattr(mc, "_paired_map", paired_map)
-            return mc.run_experiment(cfg)
-
-    threaded, serial = run(mc._paired_map), run(map)
-    assert threaded.singular_rejections == serial.singular_rejections == 1
-    assert np.array_equal(threaded.samples, serial.samples)
-    assert json.dumps(threaded.to_dict()) == json.dumps(serial.to_dict())
-
-
-def test_a_failure_on_either_thread_stops_both(monkeypatch):
-    cfg = mc.ExperimentConfig(n=3 * mc.CHUNK, theta=1.0, points=(SQRT2,), num_samples=20, master_seed=1)
-    _two_cpus(monkeypatch)
-    before = threading.active_count()
-    eval_sample = mc._eval_sample
-
-    def fail_on_the_helper(cfg, model, chain, rng):
-        # the helper draws the odd indices
-        if threading.current_thread() is not threading.main_thread():
-            raise ZeroDivisionError("helper")
-        return eval_sample(cfg, model, chain, rng)
-
-    with monkeypatch.context() as m:
-        m.setattr(mc, "_eval_sample", fail_on_the_helper)
-        with pytest.raises(ZeroDivisionError, match="helper"):
-            mc.run_experiment(cfg)
-    assert threading.active_count() == before
-    # the singular cap trips in the first of five blocks, with the helper mid-run
-    log_sums = classfuncs.log_sums
-
-    def always_singular(*args):
-        sums, singular = log_sums(*args)
-        return sums, np.ones_like(singular)
-
-    with monkeypatch.context() as m:
-        m.setattr(classfuncs, "log_sums", always_singular)
-        m.setattr(mc, "_BLOCK", 4)
-        with pytest.raises(mc.RegimeViolationError, match="singular-sample rate"):
-            mc.run_experiment(cfg)
-    assert threading.active_count() == before

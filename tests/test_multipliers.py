@@ -128,23 +128,24 @@ def test_sample_joint_cycle_shares_cycle_length():
         FourierDensity({1: 0.4, -1: 0.4}).sample_T([0], [1], rng)
 
 
-def test_uniform_T_in_chunks_equals_one_block():
-    # the (m, size) block is read in chunks: the same uniforms, the stream
-    # left where one block leaves it, and up to CHUNK uniforms the same sum
+def test_uniform_T_reads_one_uniform_per_cycle_past_CHUNK():
+    # up to CHUNK uniforms in all, the (m, size) block summed as numpy sums
+    # it; past that stream.random(sum of counts), the stream left where that
+    # call leaves it
     C = mult.CHUNK
-    for m in (0, 1, C - 1, C, C + 1, 2 * C + 3, 10 ** 6 + 3):
-        for size in (1, 2, 3, 17):
-            for seed in range(2):
-                block, chunked = np.random.default_rng(seed), np.random.default_rng(seed)
-                want = np.mod(block.random((m, size)).sum(axis=0), 1.0)
-                got = Uniform().sample_T([m], [size], chunked)
-                assert got.shape == (size,), (m, size, seed)
-                if m * size <= C:
-                    assert np.array_equal(got, want), (m, size, seed)
-                else:  # chunk sums are added: not numpy's order of additions
-                    gap = np.abs(got - want)
-                    assert np.minimum(gap, 1.0 - gap).max() <= 1e-6, (m, size, seed)
-                assert chunked.random() == block.random()
+    cases = [([m], [size]) for m in (0, 1, C - 1, C, C + 1, 2 * C + 3, 10 ** 6 + 3)
+             for size in (1, 2, 3, 17)]
+    cases += [([1, 2, C // 2], [4, 1, 2]), ([1, 2, C // 2], [4, 3, 2]), ([1, 6], [C + 9, 2])]
+    for ms, counts in cases:
+        for seed in range(2):
+            block, ours = np.random.default_rng(seed), np.random.default_rng(seed)
+            if np.dot(ms, counts) <= C:
+                want = np.mod(np.concatenate([block.random((m, c)).sum(axis=0)
+                                              for m, c in zip(ms, counts)]), 1.0)
+            else:
+                want = block.random(sum(counts))
+            assert np.array_equal(Uniform().sample_T(ms, counts, ours), want), (ms, counts, seed)
+            assert ours.random() == block.random()
 
 
 def test_discrete_T_equals_stream_choice():
@@ -162,16 +163,13 @@ def test_discrete_T_equals_stream_choice():
             assert ours.random() == ref.random()
 
 
-def _per_length_T(model, m, c, stream):
-    """c draws of T_m as the laws drew them, one call per cycle length."""
+def _per_length_T(model, m, c, stream, size):
+    """c draws of T_m as the laws drew them, one call per cycle length;
+    `size` is the sample's sum of m * c."""
     if isinstance(model, Trivial):
         return np.zeros(c)
     if isinstance(model, Uniform):
-        rows = max(1, mult.CHUNK // c)
-        total = stream.random((min(m, rows), c)).sum(axis=0)
-        for start in range(rows, m, rows):
-            total += stream.random((min(rows, m - start), c)).sum(axis=0)
-        return np.mod(total, 1.0)
+        return stream.random(c) if size > mult.CHUNK else np.mod(stream.random((m, c)).sum(axis=0), 1.0)
     if isinstance(model, DiscreteRoots):
         return stream.choice(model.rho, size=c, p=model.product_probs(m)) / model.rho
     envelope = sum(abs(a) for a in mult.convolved_density_coeffs(model, m).values())
@@ -195,12 +193,14 @@ def test_one_call_equals_per_length_calls():
         lengths, mults = cycle_groups(FellerChain(n, theta).ones(np.random.default_rng(seed)), n)
         cases += [(lengths, mults),  # logZ and w2 read T_m
                   (np.ones_like(lengths), mults)]  # w1 reads z = T_1
-    # blocks of more than CHUNK uniforms: m * c > CHUNK with c = 1, and c > CHUNK
+    # samples of more than CHUNK uniforms: one block with m > CHUNK, c > CHUNK, and neither
     cases += [([1, 2, C + 3, 5, 3], [4, 1, 1, 2, 7]), ([C // 3, 1, 4], [5, 2, 3]), ([1, 6], [C + 9, 2])]
     for ms, counts in cases:
         for model in models:
             ours, ref = np.random.default_rng(7), np.random.default_rng(7)
             got = model.sample_T(ms, counts, ours)
-            want = np.concatenate([_per_length_T(model, int(m), int(c), ref) for m, c in zip(ms, counts)])
+            size = int(np.dot(ms, counts))
+            want = np.concatenate([_per_length_T(model, int(m), int(c), ref, size)
+                                   for m, c in zip(ms, counts)])
             assert np.array_equal(got, want), (type(model).__name__, ms, counts)
             assert ours.random() == ref.random()
