@@ -19,12 +19,10 @@ import os
 import sys
 from collections.abc import Iterator
 
-import numpy as np
-
 from . import classfuncs, equidist, ewens, limits, mc
 
 CONFIG_VERSION = 1
-# a JSON sample row holds all n counts: 357 MB of peak memory at n = 1e7
+# a JSON sample row holds all n counts: about 110 MB of text a row at n = 1e7
 _JSON_SAMPLE_MAX_N = 10 ** 7
 
 
@@ -53,10 +51,18 @@ def _emit(payload: dict, fh) -> None:
     Keys are strings.  An iterator is written as a list, one item at a time,
     so a caller can hand over rows as it makes them.  A flat list of numbers
     goes to the C encoder in one piece: json's indenting encoder is pure
-    Python and would walk it item by item.
+    Python and would walk it item by item.  A `_ZeroFilled` is written from
+    its nonzero entries, at most CHUNK items a piece, and never held whole.
     """
     fh.writelines(_json_pieces(payload, "\n"))
     fh.write("\n")
+
+
+@dataclasses.dataclass(frozen=True)
+class _ZeroFilled:
+    """The integers c_1..c_n, n >= 1: zero except c_m = nonzero[m], keys increasing."""
+    n: int
+    nonzero: dict
 
 
 # types whose JSON text holds no ", ", the item separator of json.dumps
@@ -73,6 +79,17 @@ def _json_pieces(obj, nl: str):
             yield from _json_pieces(value, inner)
             sep = ","
         yield "{}" if sep == "{" else nl + "}"
+    elif isinstance(obj, _ZeroFilled):
+        # c_1, then "," + inner + c_m for m = 2..n: a zero run goes out CHUNK items a piece
+        yield f"[{inner}{obj.nonzero.get(1, 0)}"
+        zero, done = f",{inner}0", 1
+        for m, value in [*obj.nonzero.items(), (obj.n + 1, None)]:
+            for start in range(done + 1, m, ewens.CHUNK):
+                yield zero * min(ewens.CHUNK, m - start)
+            if 1 < m <= obj.n:
+                yield f",{inner}{value}"
+            done = m
+        yield nl + "]"
     elif isinstance(obj, (list, tuple)) and _SCALARS.issuperset(map(type, obj)):
         body = json.dumps(obj)[1:-1]
         yield f"[{inner}{body.replace(', ', ',' + inner)}{nl}]" if body else "[]"
@@ -110,11 +127,10 @@ def cmd_sample(args) -> int:
 
 
 def _sample_rows(n: int, groups):
-    """One JSON row per (lengths, multiplicities): all n counts c_1..c_n."""
+    """One JSON row per (lengths, multiplicities): all n counts c_1..c_n, from the nonzero ones."""
     for i, (lengths, mults) in enumerate(groups):
-        counts = np.zeros(n, dtype=int)
-        counts[lengths - 1] = mults
-        yield {"sample_index": i, "cycle_counts": counts.tolist(), "total_cycles": int(mults.sum())}
+        nonzero = dict(zip(lengths.tolist(), mults.tolist()))
+        yield {"sample_index": i, "cycle_counts": _ZeroFilled(n, nonzero), "total_cycles": int(mults.sum())}
 
 
 def _load_experiment_config(args) -> mc.ExperimentConfig:

@@ -154,6 +154,9 @@ def test_every_subcommand_prints_indented_sorted_json(tmp_path, capsys):
                       "coeffs": [1, [c1.real, c1.imag], [c1.real, -c1.imag]]}
     for argv in (["sample", "--n", "10", "--theta", "1", "--count", "3", "--seed", "7"],
                  ["sample", "--n", "10000", "--theta", "0.7", "--count", "2", "--seed", "3"],
+                 # the thinned chain past CHUNK, and many cycles
+                 ["sample", "--n", "70000", "--theta", "1", "--count", "2", "--seed", "5"],
+                 ["sample", "--n", "5000", "--theta", "1000", "--count", "2", "--seed", "5"],
                  # a discrete law given by its complex DFT runs
                  ["clt", "--config", _clt_config(tmp_path, model_spec=complex_coeffs)],
                  ["constants", "--function", "charpoly"],
@@ -181,6 +184,40 @@ def test_emit_equals_indented_sorted_dumps():
     fh = io.StringIO()
     cli._emit({"rows": iter(rows), "none": iter(())}, fh)
     assert fh.getvalue() == json.dumps({"rows": rows, "none": []}, indent=2, sort_keys=True) + "\n"
+
+
+def test_zero_filled_counts_equal_dumps_of_the_dense_row():
+    # a sample row is written from its nonzero counts: zero runs go out CHUNK items a piece
+    chunk = ewens.CHUNK
+    cases = [(5, [1], [5]), (5, [5], [1]), (9, [1, 4, 9], [2, 1, 1]), (1, [1], [1])]
+    for run_length in (chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+        n = run_length + 2
+        cases += [(n, [1, n], [run_length, 1]), (n - 1, [1], [n - 1]), (n - 1, [n - 1], [1])]
+    for n, index, values in cases:
+        counts = np.zeros(n, dtype=int)
+        counts[np.array(index) - 1] = values
+        dense = counts.tolist()
+        for make in (lambda c: {"cycle_counts": c}, lambda c: {"samples": [{"c": c, "i": 0}]}):
+            fh = io.StringIO()
+            cli._emit(make(cli._ZeroFilled(n, dict(zip(index, values)))), fh)
+            assert fh.getvalue() == json.dumps(make(dense), indent=2, sort_keys=True) + "\n", (n, index)
+
+
+def test_json_sample_memory_does_not_grow_with_n(tmp_path, capsys):
+    # a row of 2e6 counts is 22 MB of text: it goes out in pieces, with no n-length array or list
+    target = tmp_path / "s.json"
+    tracemalloc.start()
+    try:
+        code = cli.main(["sample", "--n", "2000000", "--theta", "1", "--count", "2", "--output", str(target)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 8 * 2 ** 20, peak
+    for row in json.loads(target.read_text())["samples"]:
+        counts = row["cycle_counts"]
+        assert len(counts) == 2_000_000 and sum(counts) == row["total_cycles"]
+        assert sum(m * c for m, c in enumerate(counts, start=1)) == 2_000_000
 
 
 def test_unknown_subcommand_exit_2(capsys):
