@@ -48,11 +48,10 @@ def _output(path: str | None, newline: str | None = None):
 def _emit(payload: dict, fh) -> None:
     """Write `payload` as json.dumps(payload, indent=2, sort_keys=True) + "\\n".
 
-    Keys are strings.  An iterator is written as a list, one item at a time,
-    so a caller can hand over rows as it makes them.  A flat list of numbers
-    goes to the C encoder in one piece: json's indenting encoder is pure
-    Python and would walk it item by item.  A `_ZeroFilled` is written from
-    its nonzero entries, at most CHUNK items a piece, and never held whole.
+    Keys are strings.  A list, tuple or iterator is written one item at a
+    time, so a caller can hand over rows as it makes them.  A `_ZeroFilled`
+    is written from its nonzero entries, at most CHUNK items a piece, and
+    never held whole.
     """
     fh.writelines(_json_pieces(payload, "\n"))
     fh.write("\n")
@@ -63,10 +62,6 @@ class _ZeroFilled:
     """The integers c_1..c_n, n >= 1: zero except c_m = nonzero[m], keys increasing."""
     n: int
     nonzero: dict
-
-
-# types whose JSON text holds no ", ", the item separator of json.dumps
-_SCALARS = frozenset({int, float, bool, type(None)})
 
 
 def _json_pieces(obj, nl: str):
@@ -90,9 +85,6 @@ def _json_pieces(obj, nl: str):
                 yield f",{inner}{value}"
             done = m
         yield nl + "]"
-    elif isinstance(obj, (list, tuple)) and _SCALARS.issuperset(map(type, obj)):
-        body = json.dumps(obj)[1:-1]
-        yield f"[{inner}{body.replace(', ', ',' + inner)}{nl}]" if body else "[]"
     elif isinstance(obj, (list, tuple, Iterator)):
         sep = "["
         for item in obj:

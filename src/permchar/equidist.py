@@ -111,7 +111,9 @@ def nearest_integer_distance(a):
     return float(out) if out.ndim == 0 else out
 
 
-def _star_discrepancy_1d(xs: np.ndarray) -> float:
+def star_discrepancy_1d(xs: np.ndarray) -> float:
+    """Exact star discrepancy of the points xs in [0, 1], in any order: the
+    sup distance between their empirical CDF and the uniform one."""
     n = len(xs)
     s = np.sort(xs)
     i = np.arange(1, n + 1)
@@ -168,7 +170,7 @@ def star_discrepancy_exact(seq: PointSequence) -> float:
     """Exact star discrepancy D_n^* for d = 1 or 2."""
     require_exact_size(seq.d, seq.n)
     if seq.d == 1:
-        return _star_discrepancy_1d(seq.points[:, 0])
+        return star_discrepancy_1d(seq.points[:, 0])
     return _star_discrepancy_2d(seq.points)
 
 
@@ -200,13 +202,30 @@ def star_discrepancy_grid_oracle(seq: PointSequence, grid_resolution: int) -> fl
     return best
 
 
-def _lattice_points(d: int, H: int) -> np.ndarray:
-    """All q in Z^d with 0 < ||q||_inf <= H, in lexicographic order."""
-    if d not in (1, 2):
-        raise DimensionUnsupportedError("lattice enumeration supports d in {1, 2}")
-    a = np.arange(-H, H + 1)
-    q = np.stack([g.ravel() for g in np.meshgrid(*[a] * d, indexing="ij")], axis=1)
-    return q[(q != 0).any(axis=1)]
+def _lattice_slabs(phi: np.ndarray, H: int):
+    """(q, ||q.phi||) for the q in Z^d, d in {1, 2}, with 0 < ||q||_inf <= H:
+    one slab q_1 = const at a time in d = 2, so the lattice is never held whole."""
+    d = phi.size
+    if d not in (1, 2):  # checked on the call, before any slab is made
+        raise DimensionUnsupportedError("lattice search supports d in {1, 2}")
+
+    def slabs():
+        a = np.arange(-H, H + 1)
+        for q1 in a.tolist() if d == 2 else [0]:
+            q2 = a if q1 else a[a != 0]
+            q = np.column_stack([np.full((q2.size, d - 1), q1), q2])
+            yield q, nearest_integer_distance(q @ phi)
+    return slabs()
+
+
+def _shell_minima(phi: np.ndarray, H: int) -> np.ndarray:
+    """min ||q.phi|| over each shell ||q||_inf = h, h = 1..H.  A bound K / h^gamma
+    holds on a whole shell exactly when it holds at its minimum, and
+    min(dist) * h^gamma is min(dist * h^gamma): rounding keeps the order."""
+    shell_min = np.full(max(H, 0), np.inf)
+    for q, dist in _lattice_slabs(phi, H):
+        np.minimum.at(shell_min, np.abs(q).max(axis=1) - 1, dist)
+    return shell_min
 
 
 def etk_bound(phis: float | tuple[float, ...], n: int, H: int) -> float:
@@ -219,18 +238,13 @@ def etk_bound(phis: float | tuple[float, ...], n: int, H: int) -> float:
         raise ValueError("H must be >= 1")
     phi = np.atleast_1d(np.asarray(phis, dtype=float))
     d = phi.size
-    if d not in (1, 2):
-        raise DimensionUnsupportedError("ETK bound supports d in {1, 2}")
+    slabs = _lattice_slabs(phi, H)  # refuses d not in {1, 2} before the size check
     if (2 * H + 1) ** d - 1 > _ETK_LIMIT:
         raise ValueError(f"ETK bound limited to {_ETK_LIMIT} lattice points; "
                          f"H = {H} in d = {d} gives {(2 * H + 1) ** d - 1}")
-    a = np.arange(-H, H + 1)
 
-    def terms():  # in d = 2 one slab q_1 = const at a time: the lattice is never held whole
-        for q1 in a.tolist() if d == 2 else [0]:
-            q = np.column_stack([np.full((a.size, d - 1), q1), a])
-            q = q[(q != 0).any(axis=1)]
-            dist = nearest_integer_distance(q @ phi)
+    def terms():
+        for q, dist in slabs:
             if np.any(dist < 1e-13):
                 raise ResonantFrequencyError("||q.phi|| = 0 for some q: rational dependence")
             r = np.prod(np.maximum(1, np.abs(q)), axis=1)
@@ -254,23 +268,16 @@ def finite_type_estimate(phis: float | tuple[float, ...], H_max: int) -> FiniteT
     cert = preset_certificate(tuple(phi.tolist()))
     if cert is not None:
         return cert
-    q = _lattice_points(phi.size, H_max)
-    hinf = np.abs(q).max(axis=1)
-    dist = nearest_integer_distance(q @ phi)
-    if np.any(dist < 1e-13):
+    shell_min = _shell_minima(phi, H_max)
+    if shell_min.min() < 1e-13:
         return FiniteTypeCertificate(K=0.0, gamma=1.0, H_searched=H_max, preset=False)
-    shell_min = np.full(H_max + 1, np.inf)
-    np.minimum.at(shell_min, hinf, dist)
-    hs = np.arange(1, H_max + 1)
-    valid = np.isfinite(shell_min[1:])
-    running = np.minimum.accumulate(np.where(valid, shell_min[1:], np.inf))
-    records = valid & (shell_min[1:] <= running)
+    hs = np.arange(1, H_max + 1, dtype=float)
+    records = shell_min <= np.minimum.accumulate(shell_min)
+    gamma = 1.0
     if records.sum() >= 2:
-        slope, _ = np.polyfit(np.log(hs[records]), np.log(running[records]), 1)
+        slope, _ = np.polyfit(np.log(hs[records]), np.log(shell_min[records]), 1)
         gamma = max(1.0, -float(slope))
-    else:
-        gamma = 1.0
-    K = float((dist * hinf.astype(float) ** gamma).min())
+    K = float((shell_min * hs ** gamma).min())
     return FiniteTypeCertificate(K=K, gamma=gamma, H_searched=H_max, preset=False)
 
 
@@ -278,10 +285,9 @@ def certificate_holds(cert: FiniteTypeCertificate, phis: float | tuple[float, ..
                       H: int) -> bool:
     """Check the certificate inequality for every q with ||q||_inf <= H."""
     phi = np.atleast_1d(np.asarray(phis, dtype=float))
-    q = _lattice_points(phi.size, min(H, cert.H_searched))
-    hinf = np.abs(q).max(axis=1).astype(float)
-    dist = nearest_integer_distance(q @ phi)
-    return bool(np.all(dist >= cert.K / hinf ** cert.gamma - 1e-14))
+    shell_min = _shell_minima(phi, min(H, cert.H_searched))
+    hs = np.arange(1, len(shell_min) + 1, dtype=float)
+    return bool(np.all(shell_min >= cert.K / hs ** cert.gamma - 1e-14))
 
 
 def weighted_sum(h: Callable[[np.ndarray], np.ndarray], seq: PointSequence,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import classfuncs, limits
-from .equidist import finite_type_estimate
+from .equidist import finite_type_estimate, star_discrepancy_1d
 from .ewens import CHUNK, EwensParameter, FellerChain, cycle_groups
 from .multipliers import (DiscreteRoots, FourierDensity, MultiplierModel, Trivial, Uniform)
 
@@ -120,14 +120,12 @@ def derive_stream(master_seed: int, sample_index: int, retry: int = 0) -> np.ran
 
 
 def ks_statistic(samples: np.ndarray) -> float:
-    """Sup distance between the empirical CDF and the standard normal CDF."""
-    s = np.sort(np.asarray(samples, dtype=float))
-    n = len(s)
-    if n < 2:
+    """Sup distance between the empirical CDF and the standard normal CDF Phi:
+    the star discrepancy of Phi(samples)."""
+    s = np.asarray(samples, dtype=float)
+    if len(s) < 2:
         raise ValueError("need at least 2 samples")
-    cdf = 0.5 * _erfc(-s / math.sqrt(2))  # standard normal CDF
-    i = np.arange(1, n + 1)
-    return float(max((i / n - cdf).max(), (cdf - (i - 1) / n).max()))
+    return star_discrepancy_1d(0.5 * _erfc(-s / math.sqrt(2)))
 
 
 def empirical_cov(samples: np.ndarray) -> np.ndarray:

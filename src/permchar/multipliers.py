@@ -142,23 +142,23 @@ class DiscreteRoots:
         self.probs = probs
         self.coeffs = np.fft.fft(probs)
 
-    def product_probs(self, m: int) -> np.ndarray:
-        """Law of T_m via c -> c^m.
+    def product_probs(self, ms) -> np.ndarray:
+        """Laws of T_m, one row for each Python int m in ms, via c -> c^m.
 
         c^m of a checked law errs by O(m eps) only, so the inverse DFT is
-        clipped at 0 rather than checked again.
+        clipped at 0 rather than checked again.  ifft transforms row by row
+        and c^m is taken one scalar m at a time (an array of exponents would
+        round c**2 differently), so a row does not depend on the others.
         """
-        return self.probs if m == 1 else np.clip(np.fft.ifft(self.coeffs ** m).real, 0.0, None)
+        probs = np.clip(np.fft.ifft([self.coeffs ** m for m in ms], axis=1).real, 0.0, None)
+        probs[[m == 1 for m in ms]] = self.probs
+        return probs
 
     def sample_T(self, ms, counts, stream: np.random.Generator) -> np.ndarray:
-        # per block, stream.choice(rho, c, p=product_probs(m)) by its own
-        # inversion (same uniforms, same indices), without its per-call checks.
-        # ifft transforms row by row, so a batch row equals product_probs(m)
-        # bit for bit; so do the scalar exponents, where an array of them
-        # would round c**2 differently.
+        # per block, stream.choice(rho, c, p=product_probs([m])[0]) by its own
+        # inversion (same uniforms, same indices), without its per-call checks
         blocks = list(_blocks(ms, counts))
-        probs = np.clip(np.fft.ifft([self.coeffs ** m for m, _ in blocks], axis=1).real, 0.0, None)
-        probs[[m == 1 for m, _ in blocks]] = self.probs
+        probs = self.product_probs([m for m, _ in blocks])
         cdfs = probs.cumsum(axis=1)
         cdfs /= cdfs[:, -1:]
         u, o = stream.random(sum(c for _, c in blocks)), 0

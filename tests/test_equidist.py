@@ -116,9 +116,48 @@ def test_etk_bound_rational_resonance():
 
 
 def test_preset_certificates_hold():
-    for key, cert in eq.PRESETS.items():
-        phis = key[0] if len(key) == 1 else key
-        assert eq.certificate_holds(cert, phis, min(cert.H_searched, 2000))
+    # the (sqrt2, sqrt3) check at H = 2000 covers 1.6e7 points, 855 MB held whole
+    tracemalloc.start()
+    try:
+        for key, cert in eq.PRESETS.items():
+            phis = key[0] if len(key) == 1 else key
+            assert eq.certificate_holds(cert, phis, min(cert.H_searched, 2000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
+def test_finite_type_search_equals_whole_lattice():
+    # the search reads only the minimum of each shell ||q||_inf = h; K and
+    # the certificate check over the whole lattice at once must agree with it
+    for phis in (math.pi % 1.0, math.e % 1.0, 2.0 / 7.0, 0.5 + 1e-9,
+                 (math.pi % 1.0, math.e % 1.0), (1.0 / 3.0, 0.2), (0.5 + 1e-9, math.pi % 1.0)):
+        phi = np.atleast_1d(phis)
+        for H in (2, 17, 64):
+            a = np.arange(-H, H + 1)
+            q = np.stack([g.ravel() for g in np.meshgrid(*[a] * phi.size, indexing="ij")], axis=1)
+            q = q[(q != 0).any(axis=1)]
+            hinf = np.abs(q).max(axis=1).astype(float)
+            dist = eq.nearest_integer_distance(q @ phi)
+            if dist.min() < 1e-13:  # a rational relation
+                want = (0.0, 1.0)
+            else:
+                shell_min = np.full(H + 1, np.inf)
+                np.minimum.at(shell_min, hinf.astype(int), dist)
+                running = np.minimum.accumulate(shell_min[1:])
+                records = shell_min[1:] <= running
+                gamma = 1.0
+                if records.sum() >= 2:
+                    hs = np.arange(1, H + 1)[records]
+                    gamma = max(1.0, -float(np.polyfit(np.log(hs), np.log(running[records]), 1)[0]))
+                want = (float((dist * hinf ** gamma).min()), gamma)
+            cert = eq.finite_type_estimate(phis, H)
+            assert (cert.K, cert.gamma) == want, (phis, H)
+            for K, gamma in ((cert.K, cert.gamma), (cert.K * (1 + 1e-9), cert.gamma), (0.3, 1.0)):
+                trial = eq.FiniteTypeCertificate(K=K, gamma=gamma, H_searched=H, preset=False)
+                want = bool(np.all(dist >= K / hinf ** gamma - 1e-14))
+                assert eq.certificate_holds(trial, phis, H) == want, (phis, H, K)
 
 
 def test_finite_type_estimate_uses_presets():

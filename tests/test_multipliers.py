@@ -102,7 +102,7 @@ def test_fourier_density_product_coefficients():
 
 def test_discrete_roots_product_law():
     model = DiscreteRoots(4, probs=np.array([0.4, 0.3, 0.2, 0.1]))
-    p2 = model.product_probs(2)
+    p2 = model.product_probs([2])[0]
     # direct convolution oracle on Z/4
     direct = np.zeros(4)
     for a in range(4):
@@ -157,7 +157,7 @@ def test_discrete_T_equals_stream_choice():
         model = DiscreteRoots(rho, probs=np.array(probs))
         for seed in range(4):
             ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            want = np.concatenate([ref.choice(rho, size=size, p=model.product_probs(m)) / rho
+            want = np.concatenate([ref.choice(rho, size=size, p=model.product_probs([m])[0]) / rho
                                    for m, size in zip(ms, sizes)])
             assert np.array_equal(model.sample_T(ms, sizes, ours), want), (rho, seed)
             assert ours.random() == ref.random()
@@ -171,7 +171,7 @@ def _per_length_T(model, m, c, stream, size):
     if isinstance(model, Uniform):
         return stream.random(c) if size > mult.CHUNK else np.mod(stream.random((m, c)).sum(axis=0), 1.0)
     if isinstance(model, DiscreteRoots):
-        return stream.choice(model.rho, size=c, p=model.product_probs(m)) / model.rho
+        return stream.choice(model.rho, size=c, p=model.product_probs([m])[0]) / model.rho
     envelope = sum(abs(a) for a in mult.convolved_density_coeffs(model, m).values())
     out = np.empty(0)
     while len(out) < c:
