@@ -21,43 +21,55 @@ _DET_SIZE_LIMIT = 12
 
 @dataclass(frozen=True)
 class SpectralFunction:
-    """Function on the unit circle together with its zero angles.
+    """f on the unit circle as log|f(e(phi))| and the principal arg f(e(phi)),
+    phi in [0, 1), e(phi) = e^{2 pi i phi}, each in a closed form that is
+    accurate up to the zeros of f, where log_abs is -inf.
 
-    The zero angles are the split points of the limit-constant quadrature;
-    they cannot be recovered from the callable.  (The singular-sample report
-    of log_sums tests the values themselves for exact zeros.)
+    The zero angles are the split points of the limit-constant quadrature.
     """
 
-    eval: Callable[[np.ndarray], np.ndarray]
+    log_abs: Callable[[np.ndarray], np.ndarray]
+    arg: Callable[[np.ndarray], np.ndarray]
     zero_angles: tuple[float, ...]
     label: str
 
-    def on_circle(self, phi: np.ndarray) -> np.ndarray:
-        """f evaluated at e^{2 pi i phi}."""
-        return self.eval(np.exp(2j * np.pi * np.asarray(phi)))
+
+def _log_2sin(phi: np.ndarray) -> np.ndarray:
+    """log(2 sin(pi phi)) = log|1 - e(phi)|, -inf at phi = 0."""
+    with np.errstate(divide="ignore"):
+        return np.log(2.0 * np.sin(np.pi * np.minimum(phi, 1.0 - phi)))
 
 
 def char_poly() -> SpectralFunction:
-    """f(x) = 1 - 1/x, the characteristic-polynomial factor; zero at angle 0."""
-    return SpectralFunction(eval=lambda w: 1.0 - 1.0 / w, zero_angles=(0.0,), label="charpoly")
+    """f(w) = 1 - 1/w, the characteristic-polynomial factor, zero at angle 0:
+    1 - e(-phi) = 2 sin(pi phi) e^{i pi (1/2 - phi)}."""
+    return SpectralFunction(log_abs=_log_2sin, arg=lambda phi: np.pi * (0.5 - phi),
+                            zero_angles=(0.0,), label="charpoly")
 
 
 def sym_part() -> SpectralFunction:
-    """f(w) = 2 - w - 1/w, so f(e^{2 pi i phi}) = 2 - 2 cos(2 pi phi) >= 0.
+    """f(w) = 2 - w - 1/w, so f(e(phi)) = 2 - 2 cos(2 pi phi) = (2 sin(pi phi))^2.
 
     Per-cycle factor of the symmetric-part characteristic polynomial:
     at w = y^m this equals 2 - 2 cos(m * alpha).
     """
-    return SpectralFunction(eval=lambda w: 2.0 - w - 1.0 / w, zero_angles=(0.0,), label="sympart")
+    return SpectralFunction(log_abs=lambda phi: 2.0 * _log_2sin(phi),
+                            arg=lambda phi: np.zeros(np.shape(phi)), zero_angles=(0.0,), label="sympart")
 
 
 def antisym_part() -> SpectralFunction:
-    """f(w) = 2 - w + 1/w; at w = y^m with y on the circle: 2 - 2i sin(m alpha)."""
-    return SpectralFunction(eval=lambda w: 2.0 - w + 1.0 / w, zero_angles=(), label="antisympart")
+    """f(w) = 2 - w + 1/w, so f(e(phi)) = 2 - 2i sin(2 pi phi); at w = y^m
+    with y on the circle: 2 - 2i sin(m alpha)."""
+    sin = lambda phi: np.sin(2.0 * np.pi * phi)
+    return SpectralFunction(log_abs=lambda phi: math.log(2.0) + 0.5 * np.log1p(sin(phi) ** 2),
+                            arg=lambda phi: -np.arctan(sin(phi)), zero_angles=(), label="antisympart")
 
 
 def constant(c: float) -> SpectralFunction:
-    return SpectralFunction(eval=lambda w: np.full_like(np.asarray(w), c, dtype=complex),
+    """f = c; a negative c has arg +pi."""
+    log_abs, arg = math.log(abs(c)), math.pi if c < 0 else 0.0
+    return SpectralFunction(log_abs=lambda phi: np.full(np.shape(phi), log_abs),
+                            arg=lambda phi: np.full(np.shape(phi), arg),
                             zero_angles=(), label=f"const({c})")
 
 
@@ -84,8 +96,9 @@ def log_sums(fs: list[SpectralFunction], points, lengths, angles,
     returned as row s = (re_1..re_d, im_1..im_d).  `angles` holds one
     multiplier angle per cycle, shape (K,) like `lengths`: every point reads
     the same draw (one matrix).  log Z is the case f = char_poly() with the
-    product angles negated (T -> T^{-1}).  Also returns which samples hit an
-    exact zero (a probability-zero event); their rows are meaningless.
+    product angles negated (T -> T^{-1}).  Also returns which samples hit a
+    zero of some f_j, where log_abs is -inf (a probability-zero event); their
+    rows are meaningless.
     """
     points = np.asarray(points, dtype=float)
     angles = np.asarray(angles, dtype=float)
@@ -95,16 +108,13 @@ def log_sums(fs: list[SpectralFunction], points, lengths, angles,
     if angles.ndim != 1 or angles.shape != lengths.shape:
         raise ValueError(f"angles must have the shape {lengths.shape} of lengths, got {angles.shape}")
     phi = np.mod(angles + np.outer(points, lengths), 1.0)
-    vals = np.empty(phi.shape, dtype=complex)
-    # one evaluation per distinct function, not per point
-    for label in dict.fromkeys(f.label for f in fs):
-        rows = [j for j, f in enumerate(fs) if f.label == label]
-        vals[rows] = fs[rows[0]].on_circle(phi[rows])
-    zero = vals == 0
-    vals[zero] = 1.0
-    logs = np.log(vals)
-    sums = np.add.reduceat(np.concatenate([logs.real, logs.imag]), starts, axis=1)
-    return sums.T, np.logical_or.reduceat(zero.any(axis=0), starts)
+    d = len(fs)
+    # rows (log|f_1|..log|f_d|, arg f_1..arg f_d) of every cycle
+    terms = np.empty((2 * d, phi.shape[1]))
+    for j, f in enumerate(fs):
+        terms[j], terms[d + j] = f.log_abs(phi[j]), f.arg(phi[j])
+    zero = np.isneginf(terms[:d]).any(axis=0)
+    return np.add.reduceat(terms, starts, axis=1).T, np.logical_or.reduceat(zero, starts)
 
 
 def permutation_matrix(perm: Permutation, z_values: np.ndarray) -> np.ndarray:
@@ -130,7 +140,7 @@ def cycle_product(perm: Permutation, z_values: np.ndarray, x: float) -> complex:
     xc = np.exp(2j * np.pi * x)
     z = np.asarray(z_values, dtype=complex)
     out = 1.0 + 0.0j
-    for cyc in perm.cycles():
+    for cyc in perm.cycles:
         zprod = np.prod(z[[j - 1 for j in cyc]])
         out *= 1.0 - zprod / xc ** len(cyc)
     return complex(out)
@@ -146,7 +156,7 @@ def sym_char_poly(perm: Permutation, x_real: float) -> float:
     if not -2.0 <= x_real <= 2.0:
         raise ValueError("x_real must lie in [-2, 2]")
     alpha = math.acos(x_real / 2.0)
-    ct = perm.cycle_type()
+    ct = perm.cycle_type
     value = 1.0
     for m, c in ct.nonzero():
         value *= (2.0 - 2.0 * math.cos(m * alpha)) ** c

@@ -10,6 +10,7 @@ admissible.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -248,10 +249,10 @@ def etk_bound(phis: float | tuple[float, ...], n: int, H: int) -> float:
             if np.any(dist < 1e-13):
                 raise ResonantFrequencyError("||q.phi|| = 0 for some q: rational dependence")
             r = np.prod(np.maximum(1, np.abs(q)), axis=1)
-            yield from (1.0 / (r * dist)).tolist()
+            yield (1.0 / (r * dist)).tolist()
 
     # fsum rounds the exact sum once, so the slabs' grouping cannot change it
-    return float(3.0 ** d * (2.0 / (H + 1) + math.fsum(terms()) / n))
+    return float(3.0 ** d * (2.0 / (H + 1) + math.fsum(itertools.chain.from_iterable(terms())) / n))
 
 
 def finite_type_estimate(phis: float | tuple[float, ...], H_max: int) -> FiniteTypeCertificate:

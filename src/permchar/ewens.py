@@ -63,13 +63,9 @@ class CycleType:
     def total_cycles(self) -> int:
         return sum(self.counts)
 
-    @cached_property
-    def _nonzero(self) -> tuple[tuple[int, int], ...]:
-        return tuple((m + 1, c) for m, c in enumerate(self.counts) if c > 0)
-
     def nonzero(self) -> tuple[tuple[int, int], ...]:
         """Pairs (m, c_m) with c_m > 0."""
-        return self._nonzero
+        return tuple((m + 1, c) for m, c in enumerate(self.counts) if c > 0)
 
 
 @dataclass(frozen=True)
@@ -88,7 +84,7 @@ class Permutation:
             raise ValueError("images must be a bijection of 1..n")
 
     @cached_property
-    def _cycles(self) -> tuple[tuple[int, ...], ...]:
+    def cycles(self) -> tuple[tuple[int, ...], ...]:
         seen = [False] * (self.n + 1)
         out = []
         for start in range(1, self.n + 1):
@@ -104,9 +100,9 @@ class Permutation:
         return tuple(out)
 
     @cached_property
-    def _cycle_type(self) -> CycleType:
+    def cycle_type(self) -> CycleType:
         counts = [0] * self.n
-        for cyc in self._cycles:
+        for cyc in self.cycles:
             counts[len(cyc) - 1] += 1
         return CycleType(self.n, tuple(counts))
 
@@ -124,12 +120,6 @@ class Permutation:
         S = self.matrix + self.matrix.T
         S.flags.writeable = False
         return S
-
-    def cycles(self) -> tuple[tuple[int, ...], ...]:
-        return self._cycles
-
-    def cycle_type(self) -> CycleType:
-        return self._cycle_type
 
 
 def chain_probabilities(n: int, theta: EwensParameter) -> np.ndarray:

@@ -237,7 +237,7 @@ def _draw_blocks(cfg: ExperimentConfig, model, chain: FellerChain, indices, retr
 
 def _eval_block(cfg: ExperimentConfig, fs, draws) -> tuple[np.ndarray, np.ndarray]:
     """Raw rows of drawn samples, (re_1..re_d, im_1..im_d) or (total cycles, 0),
-    and which of them hit an exact zero."""
+    and which of them hit a zero of f."""
     lengths, angles = zip(*draws)
     if cfg.kind == "total-cycles":
         return np.array([[len(x), 0.0] for x in lengths]), np.zeros(len(draws), dtype=bool)
@@ -249,7 +249,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run the configured experiment; deterministic given the config.
 
     Samples are drawn one by one and evaluated a block at a time.  A sample
-    that hits an exact zero is drawn again from its next retry stream.
+    that hits a zero of f is drawn again from its next retry stream.
     """
     fs, model = validate_config(cfg)
     chain = FellerChain(cfg.n, EwensParameter(cfg.theta))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,10 +15,15 @@ def all_permutations(n):
         yield Permutation(n, images)
 
 
-def _fixed(value):
-    """Spectral function equal to `value` everywhere on the circle."""
-    return cf.SpectralFunction(eval=lambda w: np.full(np.shape(w), value, dtype=complex),
-                               zero_angles=(), label=f"fixed({value})")
+# The complex forms f(w) that the closed forms of log|f| and arg f replace,
+# kept here as their oracle: np.log takes the principal branch.
+COMPLEX_FORMS = {
+    "charpoly": lambda w: 1.0 - 1.0 / w,
+    "sympart": lambda w: 2.0 - w - 1.0 / w,
+    "antisympart": lambda w: 2.0 - w + 1.0 / w,
+    "const:2": lambda w: np.full_like(w, 2.0),
+    "const:-3": lambda w: np.full_like(w, -3.0),
+}
 
 
 def _one_sample(fs, points, lengths, angles):
@@ -27,40 +33,60 @@ def _one_sample(fs, points, lengths, angles):
     return sums[0]
 
 
+def test_closed_forms_equal_the_log_of_the_complex_forms():
+    # a dense grid away from the zeros, where the complex forms are accurate
+    phi = np.linspace(0.01, 0.99, 100_001)
+    for label, form in COMPLEX_FORMS.items():
+        f = cf.spectral_function_by_label(label)
+        want = np.log(form(np.exp(2j * np.pi * phi)))
+        assert np.abs(f.log_abs(phi) - want.real).max() <= 1e-12, label
+        assert np.abs(f.arg(phi) - want.imag).max() <= 1e-12, label
+
+
 def test_branch_log_principal_branch():
-    v = _one_sample([_fixed(-1.0)], [0.3], [1], [0.0])
-    assert v[1] == pytest.approx(math.pi)  # negative reals map to +pi
-    v = _one_sample([_fixed(1j)], [0.3], [1], [0.0])
-    assert v[1] == pytest.approx(math.pi / 2)
-    # an exact zero is reported, not raised
-    assert cf.log_sums([_fixed(0.0)], [0.3], [1], [0.0])[1].tolist() == [True]
+    # negative reals map to +pi
+    for f in (cf.constant(-1.0), cf.spectral_function_by_label("const:-3")):
+        assert f.arg(np.array([0.3])).tolist() == [math.pi]
+        assert _one_sample([f], [0.3], [1], [0.0])[1] == math.pi
+    # charpoly at angle 1/4: 1 - e(-1/4) = 1 + i
+    v = _one_sample([cf.char_poly()], [0.25], [1], [0.0])
+    assert complex(v[0], v[1]) == pytest.approx(complex(0.5 * math.log(2.0), math.pi / 4))
+    # an exact zero is reported, not raised nor warned of: 4 * 0.25 = 1 is the charpoly zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sums, singular = cf.log_sums([cf.char_poly(), cf.sym_part()], [0.25, 0.1], [4], [0.0])
+    assert singular.tolist() == [True] and sums[0, 0] == -math.inf
 
 
 def test_branch_log_sum_accumulates_without_wrapping():
-    # two terms each with arg 3pi/4: total arg 3pi/2, outside (-pi, pi]
-    total = _one_sample([_fixed(complex(-1.0, 1.0))], [0.3], [1, 2], [0.1, 0.6])
-    assert total[0] == pytest.approx(math.log(2.0))
-    assert total[1] == pytest.approx(1.5 * math.pi)
+    # three terms each with arg 2pi/5: total arg 6pi/5, outside (-pi, pi]
+    total = _one_sample([cf.char_poly()], [0.05], [2, 2, 2], [0.0, 0.0, 0.0])
+    assert total[0] == pytest.approx(3.0 * math.log(2.0 * math.sin(0.1 * math.pi)))
+    assert total[1] == pytest.approx(1.2 * math.pi)
 
 
 def test_char_poly_zero_at_angle_zero():
     f = cf.char_poly()
-    vals = f.on_circle(np.array([0.25]))
-    assert vals[0] == pytest.approx(1 - np.exp(-2j * np.pi * 0.25))
+    assert f.log_abs(np.array([0.0])).tolist() == [-math.inf]
+    phi = np.array([0.25])
+    assert np.exp(f.log_abs(phi) + 1j * f.arg(phi))[0] == pytest.approx(1 - np.exp(-2j * np.pi * 0.25))
 
 
 def test_sym_part_is_real_nonnegative():
     f = cf.sym_part()
     phi = np.linspace(0.01, 0.99, 50)
-    vals = f.on_circle(phi)
-    assert np.abs(vals.imag).max() < 1e-12
-    assert vals.real.min() >= 0.0
-    assert np.allclose(vals.real, 2 - 2 * np.cos(2 * np.pi * phi))
+    assert f.arg(phi).tolist() == [0.0] * 50
+    assert np.allclose(np.exp(f.log_abs(phi)), 2 - 2 * np.cos(2 * np.pi * phi))
+    # 2 - 2 cos(2 pi phi) rounds to 0 here; (2 sin(pi phi))^2 does not
+    tiny = np.array([1e-10, 1.0 - 2.0 ** -40])
+    assert np.allclose(f.log_abs(tiny), 2.0 * np.log(2.0 * np.pi * np.array([1e-10, 2.0 ** -40])),
+                       rtol=0.0, atol=1e-12)
 
 
 def test_spectral_function_by_label():
     assert cf.spectral_function_by_label("charpoly").label == "charpoly"
-    assert cf.spectral_function_by_label("const:2.0").on_circle(np.array([0.3]))[0] == 2.0
+    two = cf.spectral_function_by_label("const:2.0")
+    assert two.log_abs(np.array([0.3]))[0] == math.log(2.0) and two.arg(np.array([0.3]))[0] == 0.0
     with pytest.raises(ValueError, match="unknown spectral function 'nope'"):
         cf.spectral_function_by_label("nope")
     # log 0 and non-finite constants have no finite limit constants
@@ -117,7 +143,7 @@ def test_log_sums_matches_det_oracle():
         for _ in range(5):
             perm = sample_permutation_crp(n, theta, rng)
             z = rng.random(n)
-            cycles = perm.cycles()
+            cycles = perm.cycles
             lengths = [len(c) for c in cycles]
             t = np.array([z[[j - 1 for j in c]].sum() for c in cycles])
             v = _one_sample([cf.char_poly()] * 3, points, lengths, -t)
@@ -159,7 +185,7 @@ def test_sym_part_log_sums_match_dense_det_exhaustive():
     # the dense oracle: |det(S - x I)| at x = 2 cos(2 pi a), and a real log
     for n in range(1, 7):
         for perm in all_permutations(n):
-            lengths = [len(c) for c in perm.cycles()]
+            lengths = [len(c) for c in perm.cycles]
             for a in (0.0123, 0.1, 0.2718, 0.37, 0.49):
                 real, imag = _one_sample([cf.sym_part()], [a], lengths, np.zeros(len(lengths)))
                 want = abs(cf.sym_char_poly_matrix(perm, 2.0 * math.cos(2.0 * math.pi * a)))
@@ -215,8 +241,8 @@ def test_block_log_sums_equal_per_sample_sums():
     for s in sorted(set(range(40)) - set(hits)):
         one = slice(starts[s], starts[s] + sizes[s])
         phi = np.mod(angles[one] + np.outer(points, lengths[one]), 1.0)
-        logs = np.log([f.on_circle(p) for f, p in zip(fs, phi)])
-        want = np.concatenate([logs.real.sum(axis=1), logs.imag.sum(axis=1)])
+        want = np.concatenate([[f.log_abs(p).sum() for f, p in zip(fs, phi)],
+                               [f.arg(p).sum() for f, p in zip(fs, phi)]])
         assert np.abs(sums[s] - want).max() <= 1e-12, s
 
 

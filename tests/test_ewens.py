@@ -211,7 +211,7 @@ def test_crp_permutation_is_valid_and_deterministic():
     p2 = ewens.sample_permutation_crp(20, theta, np.random.default_rng(3))
     assert p1 == p2
     assert sorted(p1.images) == list(range(1, 21))
-    ct = p1.cycle_type()
+    ct = p1.cycle_type
     assert sum(m * c for m, c in ct.nonzero()) == 20
 
 
@@ -222,7 +222,7 @@ def test_crp_matches_esf_frequencies():
     counts: dict = {}
     N = 20000
     for _ in range(N):
-        ct = ewens.sample_permutation_crp(4, theta, rng).cycle_type()
+        ct = ewens.sample_permutation_crp(4, theta, rng).cycle_type
         counts[ct] = counts.get(ct, 0) + 1
     for ct, c in counts.items():
         p = ewens.esf_probability(ct, theta)
@@ -329,12 +329,13 @@ def test_feller_chain_draw_holds_one_chunk_of_uniforms():
 def test_permutation_memoizes_without_changing_identity():
     perm = Permutation(5, (2, 3, 1, 5, 4))
     twin = Permutation(5, (2, 3, 1, 5, 4))
-    perm.cycles(), perm.cycle_type(), perm.matrix  # fill one instance's caches
+    perm.cycles, perm.cycle_type, perm.matrix  # fill one instance's caches
     assert perm == twin and hash(perm) == hash(twin) and {twin: 1}[perm] == 1
     assert perm != Permutation(5, (1, 2, 3, 4, 5))
-    assert perm.cycles() == perm.cycles() == twin.cycles() == ((1, 2, 3), (4, 5))
-    assert perm.cycle_type() == twin.cycle_type() == CycleType(5, (0, 1, 1, 0, 0))
-    assert perm.cycle_type().nonzero() == ((2, 1), (3, 1))
+    assert perm.cycles == perm.cycles == twin.cycles == ((1, 2, 3), (4, 5))
+    assert perm.cycles is perm.cycles and perm.cycle_type is perm.cycle_type
+    assert perm.cycle_type == twin.cycle_type == CycleType(5, (0, 1, 1, 0, 0))
+    assert perm.cycle_type.nonzero() == ((2, 1), (3, 1))
     # P_ij = 1 exactly when i = sigma(j)
     want = np.zeros((5, 5))
     for j, i in enumerate(perm.images):

@@ -24,15 +24,27 @@ def test_charpoly_constants():
     c = limits.limit_constants(cf.char_poly())
     assert abs(c.m_R) < 1e-8
     assert abs(c.m_I) < 1e-8
-    assert c.V_R == pytest.approx(PI2_12, abs=1e-6)
-    assert c.V_I == pytest.approx(PI2_12, abs=1e-6)
+    assert c.V_R == pytest.approx(PI2_12, abs=1e-12)
+    assert c.V_I == pytest.approx(PI2_12, abs=1e-12)
 
 
 def test_sympart_constants():
+    # 2 log(2 sin(pi phi)) integrates to 0 and its square to pi^2/3
     c = limits.limit_constants(cf.sym_part())
-    assert abs(c.m_R) < 1e-6
-    assert c.V_R == pytest.approx(math.pi ** 2 / 3.0, abs=1e-4)
-    assert abs(c.V_I) < 1e-8  # f is nonnegative real: no argument at all
+    assert abs(c.m_R) <= 1e-12
+    assert c.V_R == pytest.approx(math.pi ** 2 / 3.0, abs=1e-12)
+    assert c.m_I == 0.0 and c.V_I == 0.0  # f is nonnegative real: no argument at all
+
+
+def test_antisympart_mean():
+    # log|2 - 2i sin(2 pi phi)| = log 2 + log(1 + sin^2)/2 integrates to asinh 1
+    c = limits.limit_constants(cf.antisym_part())
+    assert c.m_R == pytest.approx(math.asinh(1.0), abs=1e-12)
+
+
+def test_quadrature_raises_on_a_nan_integrand():
+    with pytest.raises(limits.QuadratureError):
+        limits.singular_quadrature(lambda t: np.full_like(t, np.nan))
 
 
 def test_constant_function_constants():
@@ -45,10 +57,9 @@ def test_constant_function_constants():
 def test_quadrature_matches_riemann_oracle():
     # midpoint Riemann oracle on the singular charpoly integrand
     f = cf.char_poly()
-    u = lambda t: np.log(np.abs(f.on_circle(t))) ** 2
     grid = (np.arange(10 ** 6) + 0.5) / 10 ** 6
-    riemann = float(u(grid).mean())
-    quad = limits.singular_quadrature(u, (0.0,))
+    riemann = float((np.log(np.abs(1.0 - np.exp(-2j * np.pi * grid))) ** 2).mean())
+    quad = limits.singular_quadrature(lambda t: f.log_abs(t) ** 2, (0.0,))
     assert quad == pytest.approx(riemann, abs=1e-4)
 
 

@@ -223,9 +223,9 @@ def _per_sample_raw(cfg, fs, model, chain, i):
     angles = model.sample_T(np.ones_like(lengths) if cfg.kind == "w1" else lengths, mults, rng)
     if cfg.kind == "logZ":
         angles = -angles
-    logs = np.array([np.log(f.on_circle(np.mod(angles + cycle_lengths * x, 1.0)))
-                     for f, x in zip(fs, cfg.points)])
-    return np.concatenate([logs.real.sum(axis=1), logs.imag.sum(axis=1)])
+    phi = [np.mod(angles + cycle_lengths * x, 1.0) for x in cfg.points]
+    return np.concatenate([[f.log_abs(p).sum() for f, p in zip(fs, phi)],
+                           [f.arg(p).sum() for f, p in zip(fs, phi)]])
 
 
 def test_blocks_equal_a_per_sample_loop():
