@@ -22,15 +22,11 @@ _DET_SIZE_LIMIT = 12
 @dataclass(frozen=True)
 class SpectralFunction:
     """f on the unit circle as log|f(e(phi))| and the principal arg f(e(phi)),
-    phi in [0, 1), e(phi) = e^{2 pi i phi}, each in a closed form that is
-    accurate up to the zeros of f, where log_abs is -inf.
-
-    The zero angles are the split points of the limit-constant quadrature.
-    """
+    phi in [0, 1), e(phi) = e^{2 pi i phi}, in closed forms accurate up to the
+    zeros of f, where log_abs is -inf; every f here is zero only at phi = 0, if at all."""
 
     log_abs: Callable[[np.ndarray], np.ndarray]
     arg: Callable[[np.ndarray], np.ndarray]
-    zero_angles: tuple[float, ...]
     label: str
 
 
@@ -43,8 +39,7 @@ def _log_2sin(phi: np.ndarray) -> np.ndarray:
 def char_poly() -> SpectralFunction:
     """f(w) = 1 - 1/w, the characteristic-polynomial factor, zero at angle 0:
     1 - e(-phi) = 2 sin(pi phi) e^{i pi (1/2 - phi)}."""
-    return SpectralFunction(log_abs=_log_2sin, arg=lambda phi: np.pi * (0.5 - phi),
-                            zero_angles=(0.0,), label="charpoly")
+    return SpectralFunction(log_abs=_log_2sin, arg=lambda phi: np.pi * (0.5 - phi), label="charpoly")
 
 
 def sym_part() -> SpectralFunction:
@@ -54,7 +49,7 @@ def sym_part() -> SpectralFunction:
     at w = y^m this equals 2 - 2 cos(m * alpha).
     """
     return SpectralFunction(log_abs=lambda phi: 2.0 * _log_2sin(phi),
-                            arg=lambda phi: np.zeros(np.shape(phi)), zero_angles=(0.0,), label="sympart")
+                            arg=lambda phi: np.zeros(np.shape(phi)), label="sympart")
 
 
 def antisym_part() -> SpectralFunction:
@@ -62,15 +57,14 @@ def antisym_part() -> SpectralFunction:
     with y on the circle: 2 - 2i sin(m alpha)."""
     sin = lambda phi: np.sin(2.0 * np.pi * phi)
     return SpectralFunction(log_abs=lambda phi: math.log(2.0) + 0.5 * np.log1p(sin(phi) ** 2),
-                            arg=lambda phi: -np.arctan(sin(phi)), zero_angles=(), label="antisympart")
+                            arg=lambda phi: -np.arctan(sin(phi)), label="antisympart")
 
 
 def constant(c: float) -> SpectralFunction:
     """f = c; a negative c has arg +pi."""
     log_abs, arg = math.log(abs(c)), math.pi if c < 0 else 0.0
     return SpectralFunction(log_abs=lambda phi: np.full(np.shape(phi), log_abs),
-                            arg=lambda phi: np.full(np.shape(phi), arg),
-                            zero_angles=(), label=f"const({c})")
+                            arg=lambda phi: np.full(np.shape(phi), arg), label=f"const({c})")
 
 
 def spectral_function_by_label(label: str) -> SpectralFunction:

@@ -99,6 +99,8 @@ def _json_pieces(obj, nl: str):
 def cmd_sample(args) -> int:
     if args.n < 1 or args.count < 1 or args.seed < 0:
         raise ConfigError("need n >= 1, count >= 1, seed >= 0")
+    if args.n >= 2 ** 63:
+        raise ConfigError(f"n must be < 2^63: the chain's positions are int64, got {args.n}")
     if args.format == "json" and args.n > _JSON_SAMPLE_MAX_N:
         raise ConfigError(f"--format json writes all n counts per sample and takes n <= "
                           f"{_JSON_SAMPLE_MAX_N}; --format csv writes only the nonzero (m, c) "

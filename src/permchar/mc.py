@@ -53,7 +53,7 @@ class ExperimentResult:
     # var, cov and ks are None for a one-sample run: there is no spread to report
     var: np.ndarray | None       # (2d,)
     cov: np.ndarray | None       # (2d, 2d) empirical covariance
-    ks: np.ndarray | None        # (2d,) KS distance to N(0,1) per coordinate
+    ks: np.ndarray | None        # (2d,) KS distance to N(0,1), None where a coordinate is not normalized
     singular_rejections: int
 
     def to_dict(self) -> dict:
@@ -161,9 +161,9 @@ def validate_config(cfg: ExperimentConfig) -> tuple[list[classfuncs.SpectralFunc
                                                      MultiplierModel | None]:
     """Check every field; return the spectral functions and the multiplier
     model of the run, so that every config error is raised here."""
-    # n >= 2 keeps log n > 0 in the normalization
-    if not (_is_int(cfg.n) and cfg.n >= 2):
-        raise RegimeViolationError(f"n must be an integer >= 2, got {cfg.n!r}")
+    # n >= 2 keeps log n > 0 in the normalization; log_sums forms cycle lengths as doubles
+    if not (_is_int(cfg.n) and 2 <= cfg.n <= 2 ** 53):
+        raise RegimeViolationError(f"n must be an integer in [2, 2^53] (lengths are doubles), got {cfg.n!r}")
     if not (_is_int(cfg.num_samples) and cfg.num_samples >= 1):
         raise RegimeViolationError(f"num_samples must be an integer >= 1, got {cfg.num_samples!r}")
     if not (_is_finite_real(cfg.theta) and cfg.theta > 0):
@@ -269,22 +269,22 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             redo += np.array(indices)[singular].tolist()
         todo, retry = redo, retry + 1
     raw_mean = raw.mean(axis=0)
-    samples = _normalize(cfg, fs, raw)
+    samples, scaled = _normalize(cfg, fs, raw)
     mean = samples.mean(axis=0)
     var = cov = ks = None
     if cfg.num_samples > 1:
         var = samples.var(axis=0, ddof=1)
         cov = empirical_cov(samples)
-        ks = np.array([ks_statistic(samples[:, j]) for j in range(width)])
+        ks = np.array([ks_statistic(samples[:, j]) if scaled[j] else None for j in range(width)])
     return ExperimentResult(config=cfg, samples=samples, raw_mean=raw_mean,
                             mean=mean, var=var, cov=cov, ks=ks,
                             singular_rejections=rejections)
 
 
-def _normalize(cfg: ExperimentConfig, fs, raw: np.ndarray) -> np.ndarray:
-    # total-cycles has no functions: its counts pass through as they are
+def _normalize(cfg: ExperimentConfig, fs, raw: np.ndarray) -> tuple[np.ndarray, list[bool]]:
+    """Centred and normalized samples, and which columns were scaled (total-cycles: none)."""
     d = len(fs)
-    out = raw.copy()
+    out, scaled = raw.copy(), [False] * raw.shape[1]
     for j, f in enumerate(fs):
         consts = limits.limit_constants(f)
         if cfg.centering == "theoretical":
@@ -298,4 +298,5 @@ def _normalize(cfg: ExperimentConfig, fs, raw: np.ndarray) -> np.ndarray:
         for col, V in ((j, consts.V_R), (d + j, consts.V_I)):
             if V > 0:
                 out[:, col] /= limits.normalization(cfg.n, cfg.theta, V)
-    return out
+                scaled[col] = True
+    return out, scaled

@@ -18,6 +18,7 @@ import numpy as np
 from .ewens import CHUNK
 
 _VALIDATION_GRID = 4096
+_MAX_FREQUENCY = 2 ** 14  # a validation grid of at most 64 * 2^14 = 2^20 points
 
 
 class InvalidCoefficientsError(ValueError):
@@ -58,8 +59,9 @@ class FourierDensity:
     """Absolutely continuous z with density g(phi) = sum_j c_j e^{2 pi i j phi}.
 
     `coeffs` maps j to c_j over a finite truncation window; c_0 = 1 and
-    |c_j| < 1 for j != 0.  The implied density is validated nonnegative on
-    a fixed grid.  T_m has the convolved density with coefficients c_j^m,
+    |c_j| < 1 for 0 < |j| <= 2^14.  The implied density is validated
+    nonnegative on a grid of at least 64 points per period of the top
+    frequency.  T_m has the convolved density with coefficients c_j^m,
     sampled by rejection against its uniform envelope sum_j |c_j|^m.
     """
 
@@ -71,8 +73,10 @@ class FourierDensity:
         for j, c in coeffs.items():
             if j != 0 and abs(c) >= 1.0:
                 raise InvalidCoefficientsError(f"|c_{j}| must be < 1")
+            if abs(j) > _MAX_FREQUENCY:
+                raise InvalidCoefficientsError(f"frequency {j} is above the limit |j| <= {_MAX_FREQUENCY}")
         self.coeffs = coeffs
-        grid = np.linspace(0.0, 1.0, _VALIDATION_GRID, endpoint=False)
+        grid = np.linspace(0.0, 1.0, max(_VALIDATION_GRID, 64 * max(map(abs, coeffs))), endpoint=False)
         dens = self.density(grid)
         if np.abs(dens.imag).max() > 1e-10:
             raise InvalidCoefficientsError("density is not real; coefficients must be Hermitian")

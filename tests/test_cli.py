@@ -286,13 +286,15 @@ def test_constants_rejects_bad_theta(capsys):
 
 
 def test_clt_constant_function_is_finite(tmp_path, capsys):
-    # const:1 has V_R = 0 exactly: that coordinate stays unscaled, not 0/0
+    # const:1 has V_R = V_I = 0 exactly: both coordinates stay unscaled, not 0/0,
+    # and have no KS against N(0, 1)
     path = _clt_config(tmp_path, function_labels=["const:1"], centering="theoretical")
     code, out, _ = run(capsys, ["clt", "--config", path])
     assert code == 0
     payload = json.loads(out)
-    assert all(math.isfinite(v) for key in ("raw_mean", "mean", "var", "ks") for v in payload[key])
+    assert all(math.isfinite(v) for key in ("raw_mean", "mean", "var") for v in payload[key])
     assert payload["mean"] == [0.0, 0.0]
+    assert payload["ks"] == [None, None]
 
 
 def test_bad_inputs_exit_2(tmp_path, capsys):
@@ -444,3 +446,26 @@ def test_json_sample_past_its_limit_is_refused_before_the_output_is_opened(tmp_p
     assert code == 0 and {r[0] for r in rows} == {"0", "1"}
     for i in "01":
         assert sum(int(m) * int(c) for s, m, c in rows if s == i) == 10 ** 9
+
+
+def test_n_past_the_arithmetic_limits_is_refused_before_any_output(tmp_path, capsys):
+    # clt forms cycle lengths as doubles (n <= 2^53), sample keeps chain positions in int64 (n < 2^63)
+    target = tmp_path / "out"
+    for n in (2 ** 53 + 1, 10 ** 17, 10 ** 20):
+        code, out, err = run(capsys, ["clt", "--config", _clt_config(tmp_path, n=n),
+                                      "--output", str(target)])
+        assert code == 2 and out == "" and "2^53" in err
+        assert not target.exists()
+    for n in (2 ** 63, 2 ** 64):
+        for fmt in ("csv", "json"):
+            code, out, err = run(capsys, ["sample", "--n", str(n), "--theta", "1", "--format", fmt,
+                                          "--output", str(target)])
+            assert code == 2 and out == "" and "2^63" in err
+            assert not target.exists()
+    # the largest n a sample takes is drawn exactly
+    n = 2 ** 63 - 1
+    code, out, _ = run(capsys, ["sample", "--n", str(n), "--theta", "1", "--count", "2", "--format", "csv"])
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert code == 0
+    for i in "01":
+        assert sum(int(m) * int(c) for s, m, c in rows if s == i) == n

@@ -82,3 +82,51 @@ def test_normalization_and_centering():
         limits.normalization(1, 1.0, c.V_R)
     with pytest.raises(ValueError):
         limits.centering(1, 1.0, c)
+
+
+def test_a_vector_integrand_equals_its_scalar_rows():
+    rows = [np.log, lambda t: np.cos(3.0 * t), lambda t: t ** 2 * np.log(1.0 - t)]
+    for interval, cuts in (((0.0, 1.0), ()), ((0.0, 1.0), (0.3,)), ((0.2, 0.9), (0.5,))):
+        vec = limits.singular_quadrature(lambda t: np.array([u(t) for u in rows]), cuts, interval)
+        assert vec.shape == (3,)
+        for u, v in zip(rows, vec):
+            assert abs(v - limits.singular_quadrature(u, cuts, interval)) <= 1e-15
+
+
+@pytest.mark.parametrize("label", ["charpoly", "sympart", "antisympart", "const:2", "const:-3"])
+def test_limit_constants_evaluate_f_once_per_level(label):
+    # one pass: each level calls log_abs and arg once, on its 2^(level+1) + 1 nodes
+    f = cf.spectral_function_by_label(label)
+    sizes = {"log_abs": [], "arg": []}
+
+    def counted(name):
+        def call(p):
+            sizes[name].append(len(p))
+            return getattr(f, name)(p)
+        return call
+
+    limits.limit_constants(cf.SpectralFunction(counted("log_abs"), counted("arg"), f.label))
+    levels = range(3, 3 + len(sizes["log_abs"]))
+    assert sizes["log_abs"] == sizes["arg"] == [2 ** (lv + 1) + 1 for lv in levels]
+
+
+@pytest.mark.parametrize("label", ["charpoly", "sympart", "antisympart", "const:-3"])
+def test_covariance_of_one_function_reads_its_constants(label):
+    f, theta = cf.spectral_function_by_label(label), 2.7
+    c = limits.limit_constants(f)
+    spec = limits.covariance_matrix([f], theta)
+    assert spec.re_re[0, 0] == theta * c.V_R and spec.im_im[0, 0] == theta * c.V_I
+    cross = limits.singular_quadrature(lambda p: f.log_abs(p) * f.arg(p))
+    assert abs(spec.re_im[0, 0] - theta * cross) <= 1e-14
+
+
+def test_quadrature_raises_on_a_nan_row():
+    with pytest.raises(limits.QuadratureError):
+        limits.singular_quadrature(lambda t: np.array([t, np.where(t > 0.5, np.nan, t)]))
+
+
+def test_quadrature_never_evaluates_the_endpoints():
+    # NaN exactly at a and b: every node lies strictly inside
+    for a, b in ((0.0, 1.0), (0.25, 0.75)):
+        u = lambda t: np.where((t == a) | (t == b), np.nan, 2.0)
+        assert limits.singular_quadrature(u, (), (a, b)) == pytest.approx(2.0 * (b - a), rel=1e-14)

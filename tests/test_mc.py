@@ -192,7 +192,7 @@ def test_singular_sample_is_redrawn_from_the_retry_stream(monkeypatch):
     r = mc.run_experiment(cfg)
     assert r.singular_rejections == 1
     assert np.array_equal(r.samples[1:], clean.samples[1:])
-    assert np.array_equal(r.samples[0], mc._normalize(cfg, fs, raw0)[0])
+    assert np.array_equal(r.samples[0], mc._normalize(cfg, fs, raw0)[0][0])
     assert not np.array_equal(r.samples[0], clean.samples[0])
 
 
@@ -243,7 +243,7 @@ def test_blocks_equal_a_per_sample_loop():
         chain = FellerChain(cfg.n, EwensParameter(cfg.theta))
         raw = np.array([_per_sample_raw(cfg, fs, model, chain, i) for i in range(cfg.num_samples)])
         got = mc.run_experiment(cfg).samples
-        assert np.abs(got - mc._normalize(cfg, fs, raw)).max() <= 1e-13, (kind, spec)
+        assert np.abs(got - mc._normalize(cfg, fs, raw)[0]).max() <= 1e-13, (kind, spec)
 
 
 def test_empirical_centering_subtracts_the_column_means():
@@ -270,6 +270,22 @@ def test_total_cycles_statistic_mean():
     r = mc.run_experiment(cfg)
     exact = sum(2.0 / (2.0 + i) for i in range(500))
     assert r.raw_mean[0] == pytest.approx(exact, rel=0.02)
+
+
+def test_ks_is_null_exactly_where_a_coordinate_is_not_normalized():
+    # sympart has V_I = 0: its Im column is identically 0 and stays unscaled
+    w2 = mc.ExperimentConfig(n=1000, theta=1.0, points=(SQRT2, SQRT3), kind="w2",
+                             function_labels=("sympart", "antisympart"), num_samples=200,
+                             master_seed=1, centering="theoretical")
+    ks = mc.run_experiment(w2).to_dict()["ks"]
+    assert ks[2] is None and all(isinstance(ks[j], float) for j in (0, 1, 3))
+    # total-cycles passes its (K_n, 0) columns through as they are
+    total = mc.ExperimentConfig(n=1000, theta=1.0, points=(), kind="total-cycles",
+                                num_samples=50, master_seed=3)
+    assert mc.run_experiment(total).to_dict()["ks"] == [None, None]
+    # every coordinate normalized: a float array, as before
+    logz = mc.ExperimentConfig(n=1000, theta=1.0, points=(SQRT2,), num_samples=50, master_seed=3)
+    assert mc.run_experiment(logz).ks.dtype == float
 
 
 def test_result_json_roundtrip_is_deterministic():

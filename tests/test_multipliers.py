@@ -72,6 +72,17 @@ def test_fourier_density_rejects_bad_coeffs():
         FourierDensity({0: 0.5})
 
 
+def test_fourier_validation_grid_resolves_the_top_frequency():
+    # 1 + 1.8 cos(2 pi 4096 phi) is a constant on 4096 points, negative on 32 % of the circle
+    with pytest.raises(InvalidCoefficientsError, match="negative"):
+        FourierDensity({4096: 0.9, -4096: 0.9})
+    with pytest.raises(InvalidCoefficientsError, match="limit"):
+        FourierDensity({2 ** 14 + 1: 0.1, -(2 ** 14 + 1): 0.1})
+    # 1 + cos(2 pi phi) touches 0 at phi = 1/2 and is a density
+    FourierDensity({1: 0.5, -1: 0.5})
+    FourierDensity({2 ** 14: 0.5, -(2 ** 14): 0.5})
+
+
 def test_fourier_density_sampling_matches_density():
     # g(phi) = 1 + 0.8 cos(2 pi phi): c_1 = c_{-1} = 0.4
     model = FourierDensity({1: 0.4, -1: 0.4})
