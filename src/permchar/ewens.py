@@ -19,8 +19,6 @@ from functools import cached_property
 
 import numpy as np
 
-_lgamma = np.vectorize(math.lgamma, otypes=[float])
-
 # Chains up to CHUNK, and samples reading up to CHUNK uniforms for their
 # uniform T_m (multipliers), keep the stream the acceptance checks were
 # pinned on; past it a draw reads O(cycles) variates.
@@ -123,9 +121,13 @@ class Permutation:
 
 
 def chain_probabilities(n: int, theta: EwensParameter) -> np.ndarray:
-    """P(xi_i = 1) = theta / (theta + i - 1) for i = 1..n."""
-    i = np.arange(1, n + 1, dtype=float)
-    return theta.theta / (theta.theta + i - 1.0)
+    """P(xi_i = 1) = theta / (theta + i - 1) for i = 1..n.
+
+    p_1 is 1 exactly: (theta + 1) - 1 rounds to 0 for theta < 2^-53.
+    """
+    p = np.ones(n)
+    np.divide(theta.theta, theta.theta + np.arange(2, n + 1, dtype=float) - 1.0, out=p[1:])
+    return p
 
 
 def sample_feller_chain(p: np.ndarray, stream: np.random.Generator) -> np.ndarray:
@@ -204,16 +206,55 @@ def sample_permutation_crp(n: int, theta: EwensParameter, stream: np.random.Gene
     return Permutation(n, tuple(images[1:]))
 
 
+# Stirling's series lgamma(x) - ((x - 1/2) log x - x + log(2 pi) / 2) =
+# sum_k B_2k / (2k (2k - 1) x^(2k - 1)): below 3e-17 from seven terms at x >= 10
+_STIRLING = (1 / 156, -691 / 360360, 1 / 1188, -1 / 1680, 1 / 1260, -1 / 360, 1 / 12)
+
+
+def _stirling_tail(x: float) -> float:
+    y, s = x ** -2.0, 0.0
+    for c in _STIRLING:
+        s = s * y + c
+    return s / x
+
+
+def _log_rising_excess(a: float, d: float) -> float:
+    """lgamma(a + d) - lgamma(a) - d log a, for a > 0 and a + d > 0.
+
+    The difference of two lgamma values carries the rounding of both, and
+    lgamma(1e12) has an ulp of 0.0039.  Where a and a + d are both at least
+    10 it is taken from Stirling's series instead, as
+    (a + d - 1/2) log1p(d / a) - d + w(a + d) - w(a), with w the series'
+    tail: within about ten ulps of d.
+    """
+    b = a + d
+    if min(a, b) < 10:
+        return math.lgamma(b) - math.lgamma(a) - d * math.log(a)
+    return (a + d - 0.5) * math.log1p(d / a) - d + _stirling_tail(b) - _stirling_tail(a)
+
+
+_log_rising_excess_array = np.vectorize(_log_rising_excess, otypes=[float])
+
+
 def esf_probability(ct: CycleType, theta: EwensParameter) -> float:
     """Ewens sampling formula for the probability of a cycle type.
 
     P(ct) = n! / (theta (theta+1) ... (theta+n-1)) * prod_m (theta/m)^c_m / c_m!
+
+    With K cycles, n! theta^K / (theta)_n is taken as
+    Gamma(theta+1) theta^(K-1) n! / Gamma(n+theta) for theta < n, and as
+    n! theta^(K-n) / ((theta)_n / theta^n) otherwise: no large log-gamma or
+    power of theta is cancelled, whether theta is 1e-300 or 1e300.
     """
     t = theta.theta
-    n = ct.n
-    log_p = math.lgamma(n + 1) + math.lgamma(t) - math.lgamma(t + n)
+    n, k = ct.n, ct.total_cycles
+    if t < n:
+        log_p = (math.lgamma(t + 1) + (k - 1) * math.log(t)
+                 - (t - 1) * math.log(n + 1) - _log_rising_excess(n + 1, t - 1))
+    else:
+        log_p = math.lgamma(n + 1) + (k - n) * math.log(t) - _log_rising_excess(t, n)
     for m, c in ct.nonzero():
-        log_p += c * math.log(t / m) - math.lgamma(c + 1)
+        log_p -= c * math.log(m) + math.lgamma(c + 1)
     return math.exp(log_p)
 
 
@@ -231,27 +272,39 @@ def _cycle_count_rows(bits: np.ndarray) -> np.ndarray:
 def exact_feller_distribution(n: int, theta: EwensParameter) -> dict[CycleType, float]:
     """Exact law of the chain's cycle type by enumerating all 2^(n-1) chains.
 
-    The chains are the rows of one array in itertools.product order; each
-    cycle type sums its rows' probabilities in that order and is keyed in
-    order of first appearance.
+    The chains are walked in itertools.product order, a block of at most
+    CHUNK chain bits at a time, so memory does not grow with 2^(n-1).  Each
+    cycle type sums its chains' probabilities in that order, starting from
+    0.0, and is keyed in order of first appearance.
     """
     if not 1 <= n <= 16:
         raise SizeLimitError(f"exact enumeration needs 1 <= n <= 16, got n = {n}")
     p = chain_probabilities(n, theta)
-    tails = (np.arange(2 ** (n - 1))[:, None] >> np.arange(n - 2, -1, -1)) & 1
-    bits = np.concatenate([np.ones((len(tails), 1), dtype=bool), tails.astype(bool)], axis=1)
-    prob = np.ones(len(bits))
-    for i in range(1, n):
-        prob *= np.where(bits[:, i], p[i], 1.0 - p[i])
-    rows = _cycle_count_rows(bits)
+    shifts = np.arange(n - 2, -1, -1)
     # c_m <= n // m, so the counts are the digits of one integer in the
     # mixed radix (n // m + 1)_m: below 1.3e8 at n = 16
     radix = np.cumprod([1] + [n // m + 1 for m in range(1, n)])
-    _, first, which = np.unique(rows @ radix, return_index=True, return_inverse=True)
-    total = np.zeros(len(first))
-    np.add.at(total, which, prob)
-    types = rows[first]
-    return {CycleType(n, tuple(types[k].tolist())): total[k].item() for k in np.argsort(first)}
+    slot: dict[int, int] = {}
+    types: list[CycleType] = []
+    total = np.zeros(0)
+    step = max(1, CHUNK // n)
+    for start in range(0, 2 ** (n - 1), step):
+        tails = np.arange(start, min(start + step, 2 ** (n - 1)))[:, None] >> shifts
+        bits = np.concatenate([np.ones((len(tails), 1), dtype=bool), (tails & 1).astype(bool)], axis=1)
+        prob = np.ones(len(bits))
+        for i in range(1, n):
+            prob *= np.where(bits[:, i], p[i], 1.0 - p[i])
+        rows = _cycle_count_rows(bits)
+        codes, first, which = np.unique(rows @ radix, return_index=True, return_inverse=True)
+        codes = codes.tolist()
+        for k in np.argsort(first).tolist():
+            if codes[k] not in slot:
+                slot[codes[k]] = len(types)
+                types.append(CycleType(n, tuple(rows[first[k]].tolist())))
+        total = np.append(total, np.zeros(len(types) - len(total)))
+        # np.add.at adds in index order, and the blocks go in order
+        np.add.at(total, np.array([slot[c] for c in codes])[which], prob)
+    return dict(zip(types, total.tolist()))
 
 
 def psi_n(n: int, m, theta: EwensParameter):
@@ -259,11 +312,15 @@ def psi_n(n: int, m, theta: EwensParameter):
 
     Psi_n(m) = binom(n-m+theta-1, n-m) / binom(n+theta-1, n).  `m` is an
     int (float result) or an integer array (array result), entries in 1..n.
+    With b = n - m + 1 it is Gamma(b + u) Gamma(b + m) / (Gamma(b) Gamma(b + u + m)),
+    u = theta - 1: symmetric in m and u, and taken with the smaller of the two
+    as the step of _log_rising_excess.
     """
     m = np.asarray(m)
     if np.any((m < 1) | (m > n)):
         raise ValueError("need 1 <= m <= n")
-    t = theta.theta
-    psi = np.exp(_lgamma(n - m + t) - _lgamma(n - m + 1) + math.lgamma(n + 1) - math.lgamma(n + t))
+    b = n - m + 1
+    lo, hi = np.minimum(theta.theta - 1.0, m), np.maximum(theta.theta - 1.0, m)
+    psi = np.exp(lo * np.log(b / (b + hi))
+                 + _log_rising_excess_array(b, lo) - _log_rising_excess_array(b + hi, lo))
     return float(psi) if psi.ndim == 0 else psi
-

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -145,6 +146,18 @@ def test_feller_check(capsys):
     payload = json.loads(out)
     assert payload["max_abs_difference"] <= 1e-12
     assert payload["total_probability"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_feller_check_at_extreme_theta(capsys):
+    # no warning, no range error and no cancelled log-gamma at either end
+    for theta in ("1e-300", "1e6", "1e12", "1e15", "1e300"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["feller-check", "--n", "16", "--theta", theta])
+        assert (code, err) == (0, ""), theta
+        payload = json.loads(out)
+        assert payload["max_abs_difference"] <= 1e-12, theta
+        assert payload["num_cycle_types"] == 231 and payload["total_probability"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_every_subcommand_prints_indented_sorted_json(tmp_path, capsys):

@@ -1,7 +1,9 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +29,15 @@ def test_chain_probabilities_formula():
     expected = [2 / 2, 2 / 3, 2 / 4, 2 / 5, 2 / 6]
     assert np.allclose(p, expected)
     assert p[0] == 1.0
+    # p_1 is 1 exactly, with no warning, though (theta + 1) - 1 rounds to 0
+    # below 2^-53; the other entries are theta / ((theta + i) - 1), bit for bit
+    for t in (1e-300, 2.0 ** -60, 0.1, 0.5, 1.0, 2.7, 1e300):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = ewens.chain_probabilities(12, EwensParameter(t))
+        assert p[0] == 1.0
+        assert [x.hex() for x in p[1:].tolist()] == [(t / (t + i - 1.0)).hex() for i in range(2, 13)]
+    assert len(ewens.chain_probabilities(0, EwensParameter(1.0))) == 0
 
 
 def test_cycle_type_weight_invariant():
@@ -84,6 +95,42 @@ def test_sampling_is_deterministic_per_stream():
     a = ewens.sample_feller_chain(p, np.random.default_rng(9))
     b = ewens.sample_feller_chain(p, np.random.default_rng(9))
     assert np.array_equal(a, b)
+
+
+def _esf_fraction(ct: CycleType, theta: float) -> Fraction:
+    t = Fraction(theta)
+    p = Fraction(math.factorial(ct.n))
+    for j in range(ct.n):
+        p /= t + j
+    for m, c in ct.nonzero():
+        p *= (t / m) ** c / math.factorial(c)
+    return p
+
+
+def test_esf_probability_equals_exact_fractions_at_extreme_theta():
+    # every cycle type of n <= 10, against the rational value of the
+    # formula at the double theta: neither a tiny nor a huge theta is cancelled
+    for theta in (1e-300, 2.0 ** -60, 0.5, 1.0, 2.7, 9.5, 10.0, 1e6, 1e12, 1e15, 1e300):
+        t = EwensParameter(theta)
+        for n in (1, 2, 5, 9, 10):
+            for ct in ewens.exact_feller_distribution(n, EwensParameter(1.0)):
+                want = _esf_fraction(ct, theta)
+                got = ewens.esf_probability(ct, t)
+                assert abs(Fraction(got) - want) <= Fraction(1, 10 ** 12) * want + Fraction(1, 10 ** 300), \
+                    (theta, ct.counts, got, float(want))
+
+
+def test_log_rising_excess_equals_a_sum_of_log1p():
+    # for an integer step d, lgamma(a + d) - lgamma(a) - d log a is the sum
+    # of log1p(j / a), j < d: within a few ulps of d or of the value
+    for a in (1e-3, 0.3, 1.0, 9.5, 10.0, 37.25, 1e6, 1e12, 1e300):
+        for d in (1, 2, 16, 100, 1000):
+            want = math.fsum(math.log1p(j / a) for j in range(d))
+            got = ewens._log_rising_excess(a, d)
+            assert abs(got - want) <= 1e-15 * max(d, abs(want)), (a, d, got, want)
+    got = ewens._log_rising_excess_array(np.array([3, 10 ** 12]), 16)
+    assert got.shape == (2,) and got.tolist() == [ewens._log_rising_excess(3.0, 16),
+                                                   ewens._log_rising_excess(1e12, 16)]
 
 
 def test_esf_probability_uniform_theta_one():
@@ -165,6 +212,29 @@ def test_cycle_count_rows_agree_with_cycle_groups():
             assert tuple(row.tolist()) == _chain_cycle_type(chain).counts
 
 
+def test_exact_feller_distribution_is_independent_of_the_block(monkeypatch):
+    # the chains are walked CHUNK bits at a time: any block size gives the
+    # same keys in the same order and the same float bits
+    want = {(n, t): [(ct, p.hex()) for ct, p in ewens.exact_feller_distribution(n, EwensParameter(t)).items()]
+            for n in range(1, 13) for t in (0.5, 1.0, 2.7)}
+    for chunk in (1, 5, 64):
+        monkeypatch.setattr(ewens, "CHUNK", chunk)
+        for (n, t), law in want.items():
+            got = ewens.exact_feller_distribution(n, EwensParameter(t))
+            assert [(ct, p.hex()) for ct, p in got.items()] == law, (chunk, n, t)
+
+
+def test_exact_feller_distribution_holds_one_block():
+    # 2^15 chains of 16 bits: one block of CHUNK bits is held at a time
+    tracemalloc.start()
+    try:
+        ewens.exact_feller_distribution(16, EwensParameter(1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2 ** 20
+
+
 def test_exact_feller_distribution_size_limit():
     with pytest.raises(SizeLimitError):
         ewens.exact_feller_distribution(17, EwensParameter(1.0))
@@ -195,7 +265,7 @@ def test_psi_n_vector_matches_scalar():
 
 
 def test_psi_n_matches_gammaln_reference():
-    # both forms lose about 7e-11 to cancellation at n = 10^4
+    # the reference loses about 7e-11 to cancellation at n = 10^4
     for theta in (0.5, 2.7):
         for n in (10, 10 ** 3, 10 ** 4):
             m = np.arange(1, n + 1)
@@ -203,6 +273,19 @@ def test_psi_n_matches_gammaln_reference():
                           + gammaln(n + 1) - gammaln(n + theta))
             got = ewens.psi_n(n, m, EwensParameter(theta))
             assert np.allclose(got, want, rtol=1e-9, atol=0)
+
+
+def test_psi_n_equals_exact_fractions_at_large_arguments():
+    # Psi_n(m) = prod_{i<m} (n - i) / (n - i - 1 + theta) in rationals: no
+    # difference of two large lgamma values, e.g. n / (n + theta - 1) at m = 1
+    for theta in (0.5, 1.0, 2.7, 30.0, 1e6):
+        t = Fraction(theta)
+        for n in (1, 10, 100, 10 ** 4, 10 ** 12):
+            for m in sorted({1, 2, 10, 99, 1000, n} & set(range(1, min(n, 1000) + 1))):
+                want = math.prod(Fraction(n - i) / (n - i - 1 + t) for i in range(m))
+                got = ewens.psi_n(n, m, EwensParameter(theta))
+                assert abs(Fraction(got) - want) <= Fraction(1, 10 ** 12) * want + Fraction(1, 10 ** 300), (theta, n, m, got)
+    assert ewens.psi_n(10 ** 12, 1, EwensParameter(2.7)) == pytest.approx(1 / (1 + 1.7e-12), rel=1e-15)
 
 
 def test_crp_permutation_is_valid_and_deterministic():
