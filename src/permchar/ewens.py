@@ -258,53 +258,31 @@ def esf_probability(ct: CycleType, theta: EwensParameter) -> float:
     return math.exp(log_p)
 
 
-def _cycle_count_rows(bits: np.ndarray) -> np.ndarray:
-    """Row r of the result is the counts c_1..c_n that `cycle_groups` reads
-    from the ones of the chain bits[r]; `bits` has shape (N, n) with bits[:, 0] set."""
-    N, n = bits.shape
-    rows, starts = np.nonzero(bits)
-    # a cycle runs from each 1 to the next 1 of its row, or to the end n
-    ends = np.append(starts[1:], n)
-    ends[np.append(rows[1:] != rows[:-1], True)] = n
-    return np.bincount(rows * n + (ends - starts - 1), minlength=N * n).reshape(N, n)
-
-
 def exact_feller_distribution(n: int, theta: EwensParameter) -> dict[CycleType, float]:
     """Exact law of the chain's cycle type by enumerating all 2^(n-1) chains.
 
-    The chains are walked in itertools.product order, a block of at most
-    CHUNK chain bits at a time, so memory does not grow with 2^(n-1).  Each
-    cycle type sums its chains' probabilities in that order, starting from
-    0.0, and is keyed in order of first appearance.
+    A depth-first walk over bits 2..n, 0 before 1 (itertools.product order),
+    carries the running product of the factors p_i or 1 - p_i, left to right,
+    and the length of the open cycle.  Each cycle type sums its chains'
+    probabilities in that order from 0.0, keyed in order of first appearance.
     """
     if not 1 <= n <= 16:
         raise SizeLimitError(f"exact enumeration needs 1 <= n <= 16, got n = {n}")
-    p = chain_probabilities(n, theta)
-    shifts = np.arange(n - 2, -1, -1)
-    # c_m <= n // m, so the counts are the digits of one integer in the
-    # mixed radix (n // m + 1)_m: below 1.3e8 at n = 16
-    radix = np.cumprod([1] + [n // m + 1 for m in range(1, n)])
-    slot: dict[int, int] = {}
-    types: list[CycleType] = []
-    total = np.zeros(0)
-    step = max(1, CHUNK // n)
-    for start in range(0, 2 ** (n - 1), step):
-        tails = np.arange(start, min(start + step, 2 ** (n - 1)))[:, None] >> shifts
-        bits = np.concatenate([np.ones((len(tails), 1), dtype=bool), (tails & 1).astype(bool)], axis=1)
-        prob = np.ones(len(bits))
-        for i in range(1, n):
-            prob *= np.where(bits[:, i], p[i], 1.0 - p[i])
-        rows = _cycle_count_rows(bits)
-        codes, first, which = np.unique(rows @ radix, return_index=True, return_inverse=True)
-        codes = codes.tolist()
-        for k in np.argsort(first).tolist():
-            if codes[k] not in slot:
-                slot[codes[k]] = len(types)
-                types.append(CycleType(n, tuple(rows[first[k]].tolist())))
-        total = np.append(total, np.zeros(len(types) - len(total)))
-        # np.add.at adds in index order, and the blocks go in order
-        np.add.at(total, np.array([slot[c] for c in codes])[which], prob)
-    return dict(zip(types, total.tolist()))
+    p = chain_probabilities(n, theta).tolist()
+    counts, law = [0] * n, {}
+    def walk(i: int, prob: float, run: int) -> None:  # nested: a tracer sees one call, not 2^n
+        if i == n:
+            counts[run - 1] += 1
+            key = tuple(counts)
+            law[key] = law.get(key, 0.0) + prob
+        else:
+            walk(i + 1, prob * (1.0 - p[i]), run + 1)
+            counts[run - 1] += 1
+            walk(i + 1, prob * p[i], 1)
+        counts[run - 1] -= 1
+
+    walk(1, 1.0, 1)
+    return {CycleType(n, key): prob for key, prob in law.items()}
 
 
 def psi_n(n: int, m, theta: EwensParameter):

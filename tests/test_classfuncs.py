@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -244,6 +245,23 @@ def test_block_log_sums_equal_per_sample_sums():
         want = np.concatenate([[f.log_abs(p).sum() for f, p in zip(fs, phi)],
                                [f.arg(p).sum() for f, p in zip(fs, phi)]])
         assert np.abs(sums[s] - want).max() <= 1e-12, s
+
+
+def test_fractional_products_equal_exact_fractions():
+    # {L x} against exact rationals for lengths up to and including 2^53, at
+    # points near 0, near 1 and subnormal, as a distance on the circle, where
+    # 0 and 1 are one angle: np.mod(L x, 1) is off by 0.25-0.5 at 2^53
+    rng = np.random.default_rng(7)
+    points = [math.sqrt(2.0) - 1.0, math.sqrt(3.0) % 1.0, 1e-300, 5e-324, 1.0 - 2.0 ** -53,
+              0.5 + 1e-9, -0.3]
+    lengths = np.concatenate([np.arange(1, 100), rng.integers(1, 2 ** 53, 400, endpoint=True),
+                              [10 ** 12, 4 * 10 ** 15, 2 ** 53 - 1, 2 ** 53]])
+    got = cf._fractional_products(np.array(points), lengths)
+    assert got.shape == (len(points), len(lengths))
+    for x, row in zip(points, got):
+        for L, frac in zip(lengths.tolist(), row.tolist()):
+            err = abs(Fraction(frac) - Fraction(L) * Fraction(x) % 1)
+            assert min(err, 1 - err) <= 1e-15, (x, L, frac)
 
 
 def test_permutation_matrix_structure():

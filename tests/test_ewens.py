@@ -161,11 +161,12 @@ def test_exact_feller_distribution_sums_to_one():
 
 
 def test_exact_feller_distribution_equals_chain_loop():
-    # the law summed chain by chain, in itertools.product order: the same
-    # keys in the same order and the same floats
-    for theta in (0.5, 1.0, 2.7):
+    # the law summed chain by chain, in itertools.product order, each chain
+    # read by cycle_groups, the reader the Monte Carlo runs: the same keys in
+    # the same order and the same floats
+    for theta in (1e-300, 0.5, 1.0, 2.7, 1e300):
         t = EwensParameter(theta)
-        for n in range(1, 11):
+        for n in range(1, 13):
             p = ewens.chain_probabilities(n, t)
             want: dict = {}
             for tail in itertools.product((0, 1), repeat=n - 1):
@@ -180,59 +181,15 @@ def test_exact_feller_distribution_equals_chain_loop():
             assert list(got.values()) == list(want.values())
 
 
-def test_exact_feller_distribution_equals_row_grouping():
-    # grouped by whole rows with np.unique(axis=0), ordered by first row:
-    # the same keys in the same order and the same float bits
-    for theta in (0.5, 1.0, 2.7):
-        t = EwensParameter(theta)
-        for n in range(1, 13):
-            p = ewens.chain_probabilities(n, t)
-            bits = np.array([(1,) + tail for tail in itertools.product((0, 1), repeat=n - 1)],
-                            dtype=bool)
-            prob = np.ones(len(bits))
-            for i in range(1, n):
-                prob *= np.where(bits[:, i], p[i], 1.0 - p[i])
-            types, first, which = np.unique(ewens._cycle_count_rows(bits), axis=0,
-                                            return_index=True, return_inverse=True)
-            total = np.zeros(len(types))
-            np.add.at(total, which.ravel(), prob)
-            want = [(CycleType(n, tuple(types[k].tolist())), total[k].hex()) for k in np.argsort(first)]
-            got = ewens.exact_feller_distribution(n, t)
-            assert [(ct, p.hex()) for ct, p in got.items()] == want
-
-
-def test_cycle_count_rows_agree_with_cycle_groups():
-    # the enumeration's array reader and the reader the Monte Carlo runs
-    # agree on every chain up to n = 12
-    for n in range(1, 13):
-        bits = np.array([(1,) + tail for tail in itertools.product((0, 1), repeat=n - 1)],
-                        dtype=bool)
-        rows = ewens._cycle_count_rows(bits)
-        for chain, row in zip(bits, rows):
-            assert tuple(row.tolist()) == _chain_cycle_type(chain).counts
-
-
-def test_exact_feller_distribution_is_independent_of_the_block(monkeypatch):
-    # the chains are walked CHUNK bits at a time: any block size gives the
-    # same keys in the same order and the same float bits
-    want = {(n, t): [(ct, p.hex()) for ct, p in ewens.exact_feller_distribution(n, EwensParameter(t)).items()]
-            for n in range(1, 13) for t in (0.5, 1.0, 2.7)}
-    for chunk in (1, 5, 64):
-        monkeypatch.setattr(ewens, "CHUNK", chunk)
-        for (n, t), law in want.items():
-            got = ewens.exact_feller_distribution(n, EwensParameter(t))
-            assert [(ct, p.hex()) for ct, p in got.items()] == law, (chunk, n, t)
-
-
 def test_exact_feller_distribution_holds_one_block():
-    # 2^15 chains of 16 bits: one block of CHUNK bits is held at a time
+    # 2^15 chains of 16 bits walked depth first: one chain's counts are held at a time
     tracemalloc.start()
     try:
         ewens.exact_feller_distribution(16, EwensParameter(1.0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6 * 2 ** 20
+    assert peak < 2 ** 20
 
 
 def test_exact_feller_distribution_size_limit():

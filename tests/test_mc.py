@@ -223,7 +223,7 @@ def _per_sample_raw(cfg, fs, model, chain, i):
     angles = model.sample_T(np.ones_like(lengths) if cfg.kind == "w1" else lengths, mults, rng)
     if cfg.kind == "logZ":
         angles = -angles
-    phi = [np.mod(angles + cycle_lengths * x, 1.0) for x in cfg.points]
+    phi = np.mod(angles + classfuncs._fractional_products(np.array(cfg.points), cycle_lengths), 1.0)
     return np.concatenate([[f.log_abs(p).sum() for f, p in zip(fs, phi)],
                            [f.arg(p).sum() for f, p in zip(fs, phi)]])
 
