@@ -163,16 +163,16 @@ def sym_char_poly(perm: Permutation, x_real: float) -> float:
     alpha = math.acos(x_real / 2.0)
     ct = perm.cycle_type
     value = 1.0
-    for m, c in ct.nonzero():
-        value *= (2.0 - 2.0 * math.cos(m * alpha)) ** c
+    for m, c in enumerate(ct.counts, 1):
+        if c:
+            value *= (2.0 - 2.0 * math.cos(m * alpha)) ** c
     sign = -1.0 if (perm.n - ct.total_cycles) % 2 else 1.0
     return sign * value
 
 
 def sym_char_poly_matrix(perm: Permutation, x_real: float) -> float:
-    """Dense-determinant counterpart of sym_char_poly; n <= 12."""
+    """Dense counterpart of sym_char_poly, n <= 12: det(S - x I) as the product of lambda - x
+    over the spectrum of the 0/1 matrix S (Permutation.sym_spectrum), never its cycle lengths."""
     if perm.n > _DET_SIZE_LIMIT:
         raise ValueError(f"dense determinant limited to n <= {_DET_SIZE_LIMIT}")
-    S = perm.sym_matrix.copy()
-    S.flat[::perm.n + 1] -= x_real  # S - x I
-    return float(np.linalg.det(S))
+    return math.prod(lam - x_real for lam in perm.sym_spectrum)

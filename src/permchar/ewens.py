@@ -70,8 +70,8 @@ class CycleType:
 class Permutation:
     """One-line notation: images[j] = sigma(j+1), values in 1..n.
 
-    Cycles, cycle type and the matrices P and S = P + P^T are computed once,
-    on first use.
+    Cycles, cycle type, the matrices P and S = P + P^T and the spectrum of S
+    are computed once, on first use.
     """
 
     n: int
@@ -118,6 +118,11 @@ class Permutation:
         S = self.matrix + self.matrix.T
         S.flags.writeable = False
         return S
+
+    @cached_property
+    def sym_spectrum(self) -> tuple[float, ...]:
+        """Eigenvalues of the dense S, ascending, by np.linalg.eigvalsh."""
+        return tuple(np.linalg.eigvalsh(self.sym_matrix).tolist())
 
 
 def chain_probabilities(n: int, theta: EwensParameter) -> np.ndarray:

@@ -167,9 +167,12 @@ def test_det_oracle_equals_cycle_product():
 
 
 def test_det_oracle_size_limit():
+    # both dense oracles refuse n > 12
     perm = Permutation(13, tuple(range(1, 14)))
     with pytest.raises(ValueError):
         cf.det_oracle(perm, np.ones(13), 0.3)
+    with pytest.raises(ValueError):
+        cf.sym_char_poly_matrix(perm, 0.3)
 
 
 def test_sym_char_poly_matches_dense_det_exhaustive_n4():
@@ -273,6 +276,41 @@ def test_permutation_matrix_structure():
     assert np.count_nonzero(M) == 3
 
 
+# A stated bound, relative to max(1, |det|), for the dense oracle against the
+# exact determinant at n <= 6: eigvalsh gives each eigenvalue of S = P + P^T
+# to a few ulps of ||S|| = 2, and next to a root that error is multiplied by
+# the other factors lambda - x.  With numpy 2.4 the worst case of the tests
+# below reads 4.8e-14 for the spectrum product and 2.9e-14 for LU.
+SYM_DET_TOL = 1e-13
+
+
+def _exact_sym_det(images, x):
+    """det(P + P^T - x I) as an exact Fraction, P_ij = 1 when i = sigma(j) built entry by entry:
+    with x = p / q, Bareiss elimination on the integer matrix q (P + P^T) - p I, whose
+    determinant is q^n times it."""
+    p, q = float(x).as_integer_ratio()
+    n = len(images)
+    a = [[q * ((images[j] == i + 1) + (images[i] == j + 1)) - (p if i == j else 0) for j in range(n)]
+         for i in range(n)]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        r = next((i for i in range(k, n) if a[i][k]), None)
+        if r is None:
+            return Fraction(0)
+        if r != k:
+            a[k], a[r], sign = a[r], a[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev  # an exact division
+        prev = a[k][k]
+    return Fraction(sign * a[-1][-1], q ** n)
+
+
+def _assert_near_exact_sym_det(perm, x):
+    got, want = cf.sym_char_poly_matrix(perm, x), _exact_sym_det(perm.images, x)
+    assert abs(Fraction(got) - want) <= SYM_DET_TOL * max(1, abs(want)), (perm.images, x, got, float(want))
+
+
 def test_matrices_equal_entrywise_construction():
     # every permutation of n <= 4, against the matrices built entry by entry
     z = np.exp(2j * np.pi * np.array([0.1, 0.35, 0.6, 0.85]))
@@ -286,5 +324,15 @@ def test_matrices_equal_entrywise_construction():
             assert np.array_equal(cf.permutation_matrix(perm, z[:n]), M)
             assert np.array_equal(perm.sym_matrix, P + P.T)
             for x in (-1.5, 0.0, 0.7):
-                want = float(np.linalg.det(P + P.T - x * np.eye(n)))
-                assert cf.sym_char_poly_matrix(perm, x) == want
+                _assert_near_exact_sym_det(perm, x)
+
+
+def test_sym_char_poly_matrix_equals_exact_det_next_to_every_root():
+    # every permutation of n <= 6, on both sides of each root 2 cos(2 pi k / m),
+    # m <= 6, of its cycle factors, where a factor lambda - x nearly cancels
+    roots = sorted({round(2.0 * math.cos(2.0 * math.pi * k / m), 12) for m in range(1, 7) for k in range(m)})
+    xs = [r + side for r in roots for side in (-1e-9, 1e-9)] + [-1.3, 0.45]
+    for n in range(1, 7):
+        for perm in all_permutations(n):
+            for x in xs:
+                _assert_near_exact_sym_det(perm, x)

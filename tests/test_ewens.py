@@ -369,7 +369,7 @@ def test_feller_chain_draw_holds_one_chunk_of_uniforms():
 def test_permutation_memoizes_without_changing_identity():
     perm = Permutation(5, (2, 3, 1, 5, 4))
     twin = Permutation(5, (2, 3, 1, 5, 4))
-    perm.cycles, perm.cycle_type, perm.matrix  # fill one instance's caches
+    perm.cycles, perm.cycle_type, perm.matrix, perm.sym_spectrum  # fill one instance's caches
     assert perm == twin and hash(perm) == hash(twin) and {twin: 1}[perm] == 1
     assert perm != Permutation(5, (1, 2, 3, 4, 5))
     assert perm.cycles == perm.cycles == twin.cycles == ((1, 2, 3), (4, 5))
@@ -386,6 +386,11 @@ def test_permutation_memoizes_without_changing_identity():
         with pytest.raises(ValueError):
             cached[0, 0] = 1.0
     assert np.array_equal(perm.matrix, want)
+    # the spectrum of the dense S, computed once: a 3-cycle and a 2-cycle give
+    # 2 cos(2 pi k / m) for k < m, that is 2, -1, -1 and 2, -2
+    assert type(perm.sym_spectrum) is tuple and perm.sym_spectrum is perm.sym_spectrum
+    assert perm.sym_spectrum == pytest.approx([-2.0, -1.0, -1.0, 2.0, 2.0], abs=1e-14)
+    assert perm == twin and hash(perm) == hash(twin)
 
 
 def test_permutation_rejects_non_bijection():
