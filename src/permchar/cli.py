@@ -106,13 +106,15 @@ def cmd_sample(args) -> int:
                           f"{_JSON_SAMPLE_MAX_N}; --format csv writes only the nonzero (m, c) "
                           f"and works at any n")
     chain = ewens.FellerChain(args.n, ewens.EwensParameter(args.theta))
-    groups = (ewens.cycle_groups(chain.ones(mc.derive_stream(args.seed, i)), args.n)
+    # a block of one chain per row, written before the next chain is drawn:
+    # a run holds one chain at a time
+    groups = (ewens.cycle_groups([chain.ones(mc.derive_stream(args.seed, i))], args.n)
               for i in range(args.count))
     with _output(args.output, newline="" if args.format == "csv" else None) as fh:
         if args.format == "csv":
             writer = csv.writer(fh)
             writer.writerow(["sample_index", "cycle_length", "count"])
-            for i, (lengths, mults) in enumerate(groups):
+            for i, (lengths, mults, _) in enumerate(groups):
                 writer.writerows(zip(itertools.repeat(i), lengths.tolist(), mults.tolist()))
         else:
             _emit({"version": CONFIG_VERSION, "n": args.n, "theta": args.theta,
@@ -121,8 +123,8 @@ def cmd_sample(args) -> int:
 
 
 def _sample_rows(n: int, groups):
-    """One JSON row per (lengths, multiplicities): all n counts c_1..c_n, from the nonzero ones."""
-    for i, (lengths, mults) in enumerate(groups):
+    """One JSON row per (lengths, multiplicities, row): all n counts c_1..c_n, from the nonzero ones."""
+    for i, (lengths, mults, _) in enumerate(groups):
         nonzero = dict(zip(lengths.tolist(), mults.tolist()))
         yield {"sample_index": i, "cycle_counts": _ZeroFilled(n, nonzero), "total_cycles": int(mults.sum())}
 

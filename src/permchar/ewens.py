@@ -3,9 +3,10 @@
 The Feller coupling builds the cycle counts of an Ewens(theta) permutation
 from a single chain of independent Bernoulli bits.  A chain is read as the
 positions of its ones: `FellerChain.ones` draws the first CHUNK bits densely
-and the rest by thinning, and every consumer reads them through one reader,
-`cycle_groups` (the cycle lengths).  The dense chain, `sample_feller_chain`,
-is FellerChain's first chunk and its test oracle.
+and the rest by thinning, one chain per stream, and every consumer reads a
+block of chains through one reader, `cycle_groups` (each chain's cycle
+lengths and multiplicities, from one sort for the block).  The dense chain,
+`sample_feller_chain`, is FellerChain's first chunk and its test oracle.
 The Chinese restaurant process provides a second, independent sampler
 producing the explicit permutation the oracles need.
 """
@@ -180,15 +181,26 @@ class FellerChain:
         return np.concatenate(parts)
 
 
-def cycle_groups(ones: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cycle lengths and multiplicities: the m-spacings of 1 xi_2 ... xi_n 1.
+def cycle_groups(ones: list[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cycle lengths, multiplicities and rows of a block of chain draws.
 
-    `ones` holds the positions of the ones of xi_1..xi_n, as FellerChain.ones
-    returns them.  A gap of length m between consecutive ones of the
-    extended chain contributes one cycle of length m; the appended 1 at
-    position n supplies the boundary term, so the gap lengths sum to n.
+    ones[r] holds the positions of the ones of chain r's xi_1..xi_n, as
+    FellerChain.ones returns them.  A gap of length m between consecutive
+    ones of the extended chain 1 xi_2 ... xi_n 1 contributes one cycle of
+    length m; the appended 1 at position n supplies the boundary term, so
+    the gap lengths of a row sum to n.  One sort of the keys r n + gap
+    groups them: row by row, each row's distinct lengths ascending, with
+    their counts and their row.  The keys are int64, so len(ones) * n must
+    stay below 2^63 (clt: n <= 2^53 and at most mc._BLOCK rows; sample: one row).
     """
-    return np.unique(np.diff(np.append(ones, n)), return_counts=True)
+    sizes = [len(o) for o in ones]
+    pos = np.concatenate(ones)
+    ends = np.append(pos[1:], n)
+    ends[np.cumsum(sizes) - 1] = n  # the last one of each row closes at n
+    # row r's gaps lie in 1..n, so its keys lie in r n + 1..(r + 1) n
+    keys, mults = np.unique(ends - pos + np.repeat(np.arange(len(ones)) * n, sizes), return_counts=True)
+    row = (keys - 1) // n
+    return keys - row * n, mults, row
 
 
 def sample_permutation_crp(n: int, theta: EwensParameter, stream: np.random.Generator) -> Permutation:

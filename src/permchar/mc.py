@@ -2,7 +2,9 @@
 
 Each sample derives its own random stream from (master_seed, sample
 index), so results are a pure function of the configuration and do not
-depend on how samples are scheduled or grouped into evaluation blocks.
+depend on how samples are scheduled or grouped into blocks: a block makes
+one call each for its cycle groups, multipliers and log sums, and every
+sample's draws read its own stream in the order a lone sample's would.
 """
 
 from __future__ import annotations
@@ -22,8 +24,10 @@ from .multipliers import (DiscreteRoots, FourierDensity, MultiplierModel, Trivia
 _KINDS = ("logZ", "w1", "w2", "total-cycles")
 _CENTERINGS = ("theoretical", "empirical", "none")
 _SINGULAR_CAP = 0.001
-# Samples per log_sums call; results do not depend on it
-_BLOCK = 256
+# Samples per block.  A block holds a stream and a chain draw for each of its
+# samples, and at 64 a desk process peaks no higher than with one sample at a
+# time; results do not depend on it
+_BLOCK = 64
 _erfc = np.vectorize(math.erfc, otypes=[float])
 
 
@@ -115,8 +119,9 @@ def _coefficient(c) -> complex:
 
 def derive_stream(master_seed: int, sample_index: int, retry: int = 0) -> np.random.Generator:
     """Independent stream for one sample; stable across runs."""
+    # the Generator default_rng would build, without its dispatch
     key = (sample_index,) if retry == 0 else (sample_index, retry)
-    return np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=key))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=master_seed, spawn_key=key)))
 
 
 def ks_statistic(samples: np.ndarray) -> float:
@@ -198,58 +203,64 @@ def validate_config(cfg: ExperimentConfig) -> tuple[list[classfuncs.SpectralFunc
             model_from_spec(cfg.model_spec))
 
 
-def _sample_cycle_groups(chain: FellerChain, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Cycle lengths and multiplicities of one Feller-chain draw."""
+def _eval_sample(chain: FellerChain, rng: np.random.Generator) -> np.ndarray:
+    """One sample's chain draw: the positions of the ones of its chain."""
+    # kept as a function of its own: perfbench's tracer times each sample by
+    # the qualified name mc._eval_sample
+    return chain.ones(rng)
+
+
+def _sample_cycle_groups(ones: list[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cycle lengths, multiplicities and rows of a block of chain draws."""
     # kept as a function of its own: perfbench's tracer counts ewens.cycles
     # by the qualified name mc._sample_cycle_groups
-    return cycle_groups(chain.ones(rng), chain.n)
+    return cycle_groups(ones, n)
 
 
-def _eval_sample(cfg: ExperimentConfig, model, chain: FellerChain,
-                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray | None]:
-    """One sample's draw: the length and the multiplier angle of each cycle;
-    total-cycles reads no multipliers, so its angles are None.
+def _draw_blocks(chain: FellerChain, master_seed: int, indices, retry: int):
+    """(indices, streams, cycle groups) of the samples `indices`, a block at a
+    time: each chain drawn from its sample's retry stream in index order, the
+    block's cycle groups read in one call.  A block closes at _BLOCK samples
+    or, at large theta, CHUNK cycles; the streams are left where the chains
+    leave them."""
+    block, streams, ones, cycles = [], [], [], 0
+    for i in indices:
+        streams.append(derive_stream(master_seed, i, retry))
+        ones.append(_eval_sample(chain, streams[-1]))
+        block.append(i)
+        cycles += len(ones[-1])
+        if len(block) == _BLOCK or cycles >= CHUNK or i == indices[-1]:
+            groups, ones = _sample_cycle_groups(ones, chain.n), []
+            yield block, streams, groups
+            block, streams, cycles = [], [], 0
+
+
+def _eval_block(cfg: ExperimentConfig, fs, model, streams, groups) -> tuple[np.ndarray, np.ndarray]:
+    """Raw rows of a drawn block, (re_1..re_d, im_1..im_d) or (total cycles, 0),
+    and which of them hit a zero of f.
 
     All points read the same matrix: each cycle gets one multiplier draw
-    (z = T_1 for w1, the product T_m otherwise), shared by every coordinate.
+    (z = T_1 for w1, the product T_m otherwise) from its sample's stream,
+    shared by every coordinate; total-cycles reads no multipliers.
     """
-    lengths, mults = _sample_cycle_groups(chain, rng)
-    angles = None
-    if cfg.kind != "total-cycles":
-        angles = model.sample_T(np.ones_like(lengths) if cfg.kind == "w1" else lengths, mults, rng)
+    lengths, mults, row = groups
+    # the index of each row's first cycle
+    starts = np.append(0, np.cumsum(mults))[np.searchsorted(row, np.arange(len(streams)))]
+    if cfg.kind == "total-cycles":
+        total = np.diff(starts, append=mults.sum())
+        return np.column_stack([total, np.zeros(len(total))]), np.zeros(len(total), dtype=bool)
+    angles = model.sample_T(np.ones_like(lengths) if cfg.kind == "w1" else lengths, mults, row, streams)
     if cfg.kind == "logZ":
         # characteristic polynomial terms 1 - x^{-m} T = f(x^m T^{-1}), f = char_poly
         angles = -angles
-    return np.repeat(lengths, mults), angles
-
-
-def _draw_blocks(cfg: ExperimentConfig, model, chain: FellerChain, indices, retry: int):
-    """(indices, draws) of the samples `indices`, drawn from their retry
-    streams, in blocks of _BLOCK samples or, at large theta, CHUNK cycles."""
-    block, cycles = [], 0
-    for i in indices:
-        block.append((i, _eval_sample(cfg, model, chain, derive_stream(cfg.master_seed, i, retry))))
-        cycles += len(block[-1][1][0])
-        if len(block) == _BLOCK or cycles >= CHUNK or i == indices[-1]:
-            yield zip(*block)
-            block, cycles = [], 0
-
-
-def _eval_block(cfg: ExperimentConfig, fs, draws) -> tuple[np.ndarray, np.ndarray]:
-    """Raw rows of drawn samples, (re_1..re_d, im_1..im_d) or (total cycles, 0),
-    and which of them hit a zero of f."""
-    lengths, angles = zip(*draws)
-    if cfg.kind == "total-cycles":
-        return np.array([[len(x), 0.0] for x in lengths]), np.zeros(len(draws), dtype=bool)
-    starts = np.cumsum([0] + [len(x) for x in lengths[:-1]])
-    return classfuncs.log_sums(fs, cfg.points, np.concatenate(lengths), np.concatenate(angles), starts)
+    return classfuncs.log_sums(fs, cfg.points, np.repeat(lengths, mults), angles, starts)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run the configured experiment; deterministic given the config.
 
-    Samples are drawn one by one and evaluated a block at a time.  A sample
-    that hits a zero of f is drawn again from its next retry stream.
+    Samples are drawn and evaluated a block at a time.  A sample that hits a
+    zero of f is drawn again from its next retry stream.
     """
     fs, model = validate_config(cfg)
     chain = FellerChain(cfg.n, EwensParameter(cfg.theta))
@@ -260,8 +271,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     todo, retry = range(cfg.num_samples), 0
     while todo:
         redo = []
-        for indices, draws in _draw_blocks(cfg, model, chain, todo, retry):
-            raw[list(indices)], singular = _eval_block(cfg, fs, draws)
+        for indices, streams, groups in _draw_blocks(chain, cfg.master_seed, todo, retry):
+            raw[indices], singular = _eval_block(cfg, fs, model, streams, groups)
             rejections += int(singular.sum())
             if rejections > max_rejections:
                 raise RegimeViolationError(

@@ -4,13 +4,17 @@ Angles live in [0, 1) and represent e^{2*pi*i*phi}.  Four regimes are
 supported: trivial (z = 1), uniform, absolutely continuous with a finite
 Fourier expansion, and discrete supported on the rho-th roots of unity.
 An m-cycle enters det(I - x^{-1} M) only through the product T_m of its
-m multipliers, so every model has one sampler, sample_T(ms, counts, stream):
-counts[k] draws of T_{ms[k]} for each k, in that order, all in one call per
-sample; a single z is T_1.
+m multipliers, so every model has one sampler for a block of samples,
+sample_T(ms, counts, rows, streams): counts[k] draws of T_{ms[k]} for each
+k, in that order, from streams[rows[k]]; `rows` is ascending, as
+ewens.cycle_groups returns it.  Each row reads its own stream exactly as a
+call for that row alone would.  A single z is T_1.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +23,7 @@ from .ewens import CHUNK
 
 _VALIDATION_GRID = 4096
 _MAX_FREQUENCY = 2 ** 14  # a validation grid of at most 64 * 2^14 = 2^20 points
+_TABLE_ENTRIES = 1 << 12  # entries of the discrete T_m tables made at a time
 
 
 class InvalidCoefficientsError(ValueError):
@@ -29,7 +34,7 @@ class InvalidCoefficientsError(ValueError):
 class Trivial:
     """z identically 1."""
 
-    def sample_T(self, ms, counts, stream: np.random.Generator) -> np.ndarray:
+    def sample_T(self, ms, counts, rows, streams) -> np.ndarray:
         return np.zeros(int(np.sum(counts)))
 
 
@@ -37,22 +42,25 @@ class Trivial:
 class Uniform:
     """z uniform on the unit circle.
 
-    T_m is again uniform.  A sample that reads at most CHUNK uniforms in all
-    (every sample of n <= CHUNK) sums m uniforms per T_m, as numpy sums an
-    (m, c) block, which keeps its stream; past CHUNK it reads one uniform
-    per cycle.
+    T_m is again uniform.  A row whose sum of m * c is at most CHUNK (every
+    sample of n <= CHUNK) reads that many uniforms in one call and sums m of
+    them per T_m, as numpy sums an (m, c) block, which keeps its stream;
+    past CHUNK it reads one uniform per cycle.
     """
 
-    def sample_T(self, ms, counts, stream: np.random.Generator) -> np.ndarray:
-        blocks = list(_blocks(ms, counts))
-        size = sum(m * c for m, c in blocks)
-        if size > CHUNK:
-            return stream.random(sum(c for _, c in blocks))
-        u, o, sums = stream.random(size), 0, []
-        for m, c in blocks:
-            sums.append(u[o:o + m * c].reshape(m, c).sum(axis=0))
-            o += m * c
-        return np.mod(np.concatenate(sums), 1.0)
+    def sample_T(self, ms, counts, rows, streams) -> np.ndarray:
+        out, j = np.empty(int(np.sum(counts))), 0
+        for stream, blocks in _rows(ms, counts, rows, streams):
+            if sum(m * c for m, c in blocks) > CHUNK:  # one uniform per cycle
+                blocks = [(1, sum(c for _, c in blocks))]
+            u, o = stream.random(sum(m * c for m, c in blocks)), 0
+            for m, c in blocks:
+                # c = 1 is summed as a 1-D array: the rounding of its (m, 1)
+                # block's axis-0 sum, at less cost
+                block = u[o:o + m * c]
+                out[j:j + c] = np.add.reduce(block if c == 1 else block.reshape(m, c), axis=0)
+                o, j = o + m * c, j + c
+        return np.mod(out, 1.0, out=out)
 
 
 class FourierDensity:
@@ -90,15 +98,16 @@ class FourierDensity:
             out += c * np.exp(2j * np.pi * j * np.asarray(phi))
         return out
 
-    def sample_T(self, ms, counts, stream: np.random.Generator) -> np.ndarray:
+    def sample_T(self, ms, counts, rows, streams) -> np.ndarray:
         out = []
-        for m, size in _blocks(ms, counts):
-            envelope = sum(abs(c) for c in convolved_density_coeffs(self, m).values())
-            while size > 0:
-                prop = stream.random(size)
-                accept = stream.random(size) * envelope < self.density(prop, m).real
-                out.append(prop[accept])
-                size -= len(out[-1])
+        for stream, blocks in _rows(ms, counts, rows, streams):
+            for m, size in blocks:
+                envelope = sum(abs(c) for c in convolved_density_coeffs(self, m).values())
+                while size > 0:
+                    prop = stream.random(size)
+                    accept = stream.random(size) * envelope < self.density(prop, m).real
+                    out.append(prop[accept])
+                    size -= len(out[-1])
         return np.concatenate(out)
 
 
@@ -116,7 +125,7 @@ class DiscreteRoots:
     or from their DFT c_j = sum_k p_k e^{-2 pi i j k/rho}, which needs c_0 = 1
     and Hermitian symmetry c_{rho-j} = conj(c_j) so that p is real.  The table
     is checked here, once.  T_m has coefficients coeffs**m, so its table is
-    their inverse DFT, computed for each sample's lengths in one batch.
+    their inverse DFT, computed once for each distinct m of a block.
     """
 
     def __init__(self, rho: int, probs: np.ndarray | None = None,
@@ -158,24 +167,33 @@ class DiscreteRoots:
         probs[[m == 1 for m in ms]] = self.probs
         return probs
 
-    def sample_T(self, ms, counts, stream: np.random.Generator) -> np.ndarray:
-        # per block, stream.choice(rho, c, p=product_probs([m])[0]) by its own
-        # inversion (same uniforms, same indices), without its per-call checks
-        blocks = list(_blocks(ms, counts))
-        probs = self.product_probs([m for m, _ in blocks])
-        cdfs = probs.cumsum(axis=1)
-        cdfs /= cdfs[:, -1:]
-        u, o = stream.random(sum(c for _, c in blocks)), 0
+    def sample_T(self, ms, counts, rows, streams) -> np.ndarray:
+        # one uniform per draw, one call per row; the draws of T_m are
+        # stream.choice(rho, c, p=product_probs([m])[0]) by its own inversion
+        # (same uniforms, same indices) without its per-call checks
+        u = np.concatenate([stream.random(sum(c for _, c in blocks))
+                            for stream, blocks in _rows(ms, counts, rows, streams)])
+        m = np.repeat(ms, counts)
+        order = np.argsort(m, kind="stable")
+        bounds = np.flatnonzero(np.diff(m[order], prepend=-1)).tolist() + [len(m)]
         k = np.empty(len(u), dtype=np.intp)
-        for cdf, (_, c) in zip(cdfs, blocks):
-            k[o:o + c] = np.searchsorted(cdf, u[o:o + c], side="right")
-            o += c
+        slab = max(1, _TABLE_ENTRIES // self.rho)
+        for s in range(0, len(bounds) - 1, slab):
+            edges = bounds[s:s + slab + 1]
+            cdfs = self.product_probs(m[order[edges[:-1]]].tolist()).cumsum(axis=1)
+            cdfs /= cdfs[:, -1:]
+            for cdf, a, b in zip(cdfs, edges, edges[1:]):
+                d = order[a:b]
+                k[d] = cdf.searchsorted(u[d], side="right")
         return k / self.rho
 
 
-def _blocks(ms, counts):
-    """(m, c) for each block of c draws of T_m, as Python ints, in order."""
-    return zip(np.asarray(ms).tolist(), np.asarray(counts).tolist())
+def _rows(ms, counts, rows, streams):
+    """(stream, [(m, c), ...]) for each row in order: the blocks of c draws
+    of T_m of that row, as Python ints, and the stream it draws from."""
+    blocks = zip(np.asarray(rows).tolist(), np.asarray(ms).tolist(), np.asarray(counts).tolist())
+    for r, row in itertools.groupby(blocks, key=operator.itemgetter(0)):
+        yield streams[r], [(m, c) for _, m, c in row]
 
 
 MultiplierModel = Trivial | Uniform | FourierDensity | DiscreteRoots

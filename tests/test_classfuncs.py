@@ -205,7 +205,7 @@ def test_multipoint_w_shapes_and_determinism():
 
     def draw(seed):
         rng = np.random.default_rng(seed)
-        return Uniform().sample_T(lengths, np.ones(len(lengths), dtype=int), rng)
+        return Uniform().sample_T(lengths, np.ones(len(lengths), dtype=int), np.zeros(len(lengths), dtype=int), [rng])
 
     angles = draw(1)
     assert angles.shape == (3,)

@@ -49,7 +49,8 @@ def test_mc_cycle_groups_match_cli_sample(capsys):
         assert code == 0
         chain = ewens.FellerChain(n, ewens.EwensParameter(theta))
         for row in json.loads(out)["samples"]:
-            lengths, mults = mc._sample_cycle_groups(chain, mc.derive_stream(seed, row["sample_index"]))
+            ones = mc._eval_sample(chain, mc.derive_stream(seed, row["sample_index"]))
+            lengths, mults, _ = mc._sample_cycle_groups([ones], n)
             counts = np.zeros(n, dtype=int)
             counts[lengths - 1] = mults
             assert counts.tolist() == row["cycle_counts"]

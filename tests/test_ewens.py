@@ -51,7 +51,7 @@ def test_cycle_type_weight_invariant():
 def _chain_cycle_type(bits):
     """The cycle type that cycle_groups reads from the ones of a dense chain."""
     n = len(bits)
-    lengths, mults = ewens.cycle_groups(np.flatnonzero(bits), n)
+    lengths, mults, _ = ewens.cycle_groups([np.flatnonzero(bits)], n)
     counts = np.zeros(n, dtype=int)
     counts[lengths - 1] = mults
     return CycleType(n, tuple(counts.tolist()))
@@ -62,7 +62,7 @@ def test_cycle_groups_identity_chain():
     ones = np.ones(5, dtype=bool)
     ct = _chain_cycle_type(ones)
     assert ct.counts == (5, 0, 0, 0, 0)
-    lengths, mults = ewens.cycle_groups(np.flatnonzero(ones), 5)
+    lengths, mults, _ = ewens.cycle_groups([np.flatnonzero(ones)], 5)
     assert lengths.tolist() == [1] and mults.tolist() == [5]
 
     # single leading one -> one n-cycle
@@ -70,7 +70,7 @@ def test_cycle_groups_identity_chain():
     bits[0] = True
     ct = _chain_cycle_type(bits)
     assert ct.counts == (0, 0, 0, 0, 1)
-    lengths, mults = ewens.cycle_groups(np.flatnonzero(bits), 5)
+    lengths, mults, _ = ewens.cycle_groups([np.flatnonzero(bits)], 5)
     assert lengths.tolist() == [5] and mults.tolist() == [1]
 
 
@@ -290,8 +290,8 @@ def test_feller_chain_reader_equals_dense_chain():
                     continue
                 assert np.array_equal(got, want), (n, t, seed)
                 assert chunked.random() == dense.random()
-                lengths, mults = ewens.cycle_groups(got, n)
-                dense_lengths, dense_mults = ewens.cycle_groups(want, n)
+                lengths, mults, _ = ewens.cycle_groups([got], n)
+                dense_lengths, dense_mults, _ = ewens.cycle_groups([want], n)
                 assert np.array_equal(lengths, dense_lengths) and np.array_equal(mults, dense_mults)
 
 

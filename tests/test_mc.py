@@ -21,6 +21,20 @@ def test_derive_stream_reproducible_and_distinct():
     assert not np.array_equal(a, c)
 
 
+def test_derive_stream_is_the_default_rng_stream():
+    # the Generator default_rng builds from the same SeedSequence: the same
+    # bit generator state and the same variates
+    for seed in (0, 2 ** 31 - 1, 2 ** 63 + 7, 10 ** 30):
+        for i in (0, 255, 10 ** 6):
+            for retry in (0, 1, 7):
+                key = (i,) if retry == 0 else (i, retry)
+                want = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+                got = mc.derive_stream(seed, i, retry)
+                assert type(got) is type(want) and type(got.bit_generator) is type(want.bit_generator)
+                assert got.bit_generator.state == want.bit_generator.state, (seed, i, retry)
+                assert np.array_equal(got.random(16), want.random(16)), (seed, i, retry)
+
+
 def test_derive_stream_collision_scan():
     firsts = {mc.derive_stream(1, i).random() for i in range(10 ** 4)}
     assert len(firsts) == 10 ** 4
@@ -176,8 +190,8 @@ def test_singular_sample_is_redrawn_from_the_retry_stream(monkeypatch):
     clean = mc.run_experiment(cfg)
     fs, model = mc.validate_config(cfg)
     chain = FellerChain(cfg.n, EwensParameter(cfg.theta))
-    lengths, angles = mc._eval_sample(cfg, model, chain, mc.derive_stream(cfg.master_seed, 0, 1))
-    raw0 = classfuncs.log_sums(fs, cfg.points, lengths, angles)[0]
+    (_, streams, groups), = mc._draw_blocks(chain, cfg.master_seed, [0], 1)
+    raw0 = mc._eval_block(cfg, fs, model, streams, groups)[0]
     log_sums = classfuncs.log_sums
     calls = []
 
@@ -216,11 +230,11 @@ def test_singular_rate_above_the_cap_is_a_regime_violation(monkeypatch):
 def _per_sample_raw(cfg, fs, model, chain, i):
     """Sample i drawn and summed on its own: the reference for the blocks."""
     rng = mc.derive_stream(cfg.master_seed, i)
-    lengths, mults = cycle_groups(chain.ones(rng), cfg.n)
+    lengths, mults, row = cycle_groups([chain.ones(rng)], cfg.n)
     cycle_lengths = np.repeat(lengths, mults)
     if cfg.kind == "total-cycles":
         return np.array([len(cycle_lengths), 0.0])
-    angles = model.sample_T(np.ones_like(lengths) if cfg.kind == "w1" else lengths, mults, rng)
+    angles = model.sample_T(np.ones_like(lengths) if cfg.kind == "w1" else lengths, mults, row, [rng])
     if cfg.kind == "logZ":
         angles = -angles
     phi = np.mod(angles + classfuncs._fractional_products(np.array(cfg.points), cycle_lengths), 1.0)
