@@ -28,6 +28,10 @@ _SINGULAR_CAP = 0.001
 # samples, and at 64 a desk process peaks no higher than with one sample at a
 # time; results do not depend on it
 _BLOCK = 64
+# A run holds its (num_samples, 2d) table of statistics about three times: the
+# raw rows, the normalized rows and the centred copy np.cov makes.  2^25
+# entries is 256 MB a copy; past it the table is refused, not allocated
+_MAX_TABLE = 2 ** 25
 _erfc = np.vectorize(math.erfc, otypes=[float])
 
 
@@ -92,7 +96,12 @@ def model_from_spec(spec: dict) -> MultiplierModel:
         coeffs = spec.get("coeffs")
         if not isinstance(coeffs, dict):
             raise RegimeViolationError(f"fourier coeffs must be an object, got {coeffs!r}")
-        return FourierDensity({int(j): _coefficient(c) for j, c in coeffs.items()})
+        freqs = {}
+        for j, c in coeffs.items():
+            if int(j) in freqs:  # "1" and "+1", or "-1" and "-01", name one frequency
+                raise RegimeViolationError(f"fourier coeffs name frequency {int(j)} twice")
+            freqs[int(j)] = _coefficient(c)
+        return FourierDensity(freqs)
     if kind == "discrete":
         rho = spec.get("rho")
         if not (_is_int(rho) and rho >= 1):
@@ -187,6 +196,10 @@ def validate_config(cfg: ExperimentConfig) -> tuple[list[classfuncs.SpectralFunc
         raise RegimeViolationError(f"kind must be one of {_KINDS}")
     if cfg.centering not in _CENTERINGS:
         raise RegimeViolationError(f"centering must be one of {_CENTERINGS}")
+    width = 2 * (1 if cfg.kind == "total-cycles" else max(1, len(cfg.points)))
+    if cfg.num_samples * width > _MAX_TABLE:
+        raise RegimeViolationError(f"num_samples * {width} (two columns a point) must be at most "
+                                   f"2^25, got num_samples = {cfg.num_samples}")
     if cfg.kind == "total-cycles":
         return [], None
     if not cfg.points:

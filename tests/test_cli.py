@@ -323,6 +323,11 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
             (dict(function_labels="charpoly"), "function_labels"),
             (dict(model_spec={"type": "fourier", "coeffs": [0.3]}), "coeffs"),
             (dict(model_spec={"type": "fourier", "coeffs": {"1": [0.3]}}), "coefficient"),
+            # "1" and "+1", or "-1" and "-01", are one frequency: not merged, the last value winning
+            (dict(model_spec={"type": "fourier", "coeffs": {"1": 0.3, "-1": 0.3, "+1": 0.1, "-01": 0.1}}),
+             "frequency 1 twice"),
+            (dict(model_spec={"type": "fourier", "coeffs": {"1": 0.3, "-1": 0.3, "-01": 0.1}}),
+             "frequency -1 twice"),
             (dict(model_spec={"type": "discrete", "rho": 2.5, "probs": [0.5, 0.5]}), "rho"),
             (dict(model_spec={"type": "discrete", "rho": 2}), "probs or coeffs"),
             # a nested, NaN or keyed table is not a law on the rho roots
@@ -393,6 +398,10 @@ def test_clt_opens_outputs_before_the_run(tmp_path, capsys, monkeypatch):
         code, _, _ = run(capsys, ["clt", "--config", _clt_config(tmp_path, **overrides),
                                   "--output", str(existing), "--dump-samples", str(existing)])
         assert code == 2 and existing.read_text() == "kept"
+    # 10^12 samples would need a 14.6 TiB table of statistics: refused, not allocated
+    code, out, err = run(capsys, ["clt", "--config", _clt_config(tmp_path, num_samples=10 ** 12),
+                                  "--output", str(existing)])
+    assert code == 2 and out == "" and "num_samples" in err and existing.read_text() == "kept"
 
 
 def test_clt_single_sample_reports_no_spread(tmp_path, capsys):

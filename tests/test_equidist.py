@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from permchar import equidist as eq
-from permchar.equidist import (DimensionUnsupportedError, PointSequence,
+from permchar.equidist import (DimensionUnsupportedError, NonConvergenceError, PointSequence,
                                ResonantFrequencyError, SingularPointHitError)
 
 SQRT2 = math.sqrt(2.0) % 1.0
@@ -196,6 +196,15 @@ def test_weighted_sum_and_singular_guard():
 def test_total_variation_monotone_and_vshape():
     assert eq.total_variation(lambda t: 3.0 * t, (0.0, 1.0)) == pytest.approx(3.0, abs=1e-5)
     assert eq.total_variation(lambda t: np.abs(t - 0.5), (0.0, 1.0)) == pytest.approx(1.0, abs=1e-5)
+
+
+def test_total_variation_past_its_refinement_cap_raises(monkeypatch):
+    # sin(2e6 pi x) has 2e6 monotone pieces on [0, 1]: no grid of up to 2^14
+    # intervals separates them, so the estimate keeps rising (a dyadic
+    # frequency would alias to a constant on the dyadic grids and converge)
+    monkeypatch.setattr(eq, "_VARIATION_MAX_POINTS", 2 ** 14)
+    with pytest.raises(NonConvergenceError, match="refinement cap"):
+        eq.total_variation(lambda x: np.sin(2e6 * np.pi * x + 0.3), (0, 1))
 
 
 def test_kh_error_bound_controls_quadrature_error():

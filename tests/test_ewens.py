@@ -128,9 +128,35 @@ def test_log_rising_excess_equals_a_sum_of_log1p():
             want = math.fsum(math.log1p(j / a) for j in range(d))
             got = ewens._log_rising_excess(a, d)
             assert abs(got - want) <= 1e-15 * max(d, abs(want)), (a, d, got, want)
-    got = ewens._log_rising_excess_array(np.array([3, 10 ** 12]), 16)
+    got = ewens._log_rising_excess(np.array([3, 10 ** 12]), 16)
     assert got.shape == (2,) and got.tolist() == [ewens._log_rising_excess(3.0, 16),
                                                    ewens._log_rising_excess(1e12, 16)]
+
+
+def test_log_rising_excess_takes_arrays():
+    # one call holds entries on both sides of the cut at 10, each equal to its
+    # scalar value and to the fsum of log1p(j / a), j < d
+    a = np.array([1e-3, 0.3, 9.5, 10.0, 37.25, 1e6, 1e12])
+    got = ewens._log_rising_excess(a, 16)
+    assert isinstance(got, np.ndarray) and got.shape == a.shape
+    for x, g in zip(a.tolist(), got.tolist()):
+        want = math.fsum(math.log1p(j / x) for j in range(16))
+        assert g == ewens._log_rising_excess(x, 16)
+        assert abs(g - want) <= 1e-15 * max(16, abs(want)), (x, g, want)
+    # a (3, 1) array a against a (4,) array d; a + d < 10 for some, not all, pairs
+    d = np.array([-0.5, 0.25, 7.0, 100.0])
+    grid = ewens._log_rising_excess(np.array([[0.75], [8.0], [1e3]]), d)
+    assert grid.shape == (3, 4)
+    assert grid.tolist() == [[ewens._log_rising_excess(x, y) for y in d.tolist()] for x in (0.75, 8.0, 1e3)]
+    # 0-d arrays and floats give a float
+    for args in ((np.array(3.0), np.array(16.0)), (np.array(1e12), 16), (3.0, 16)):
+        got = ewens._log_rising_excess(*args)
+        assert type(got) is float and got == ewens._log_rising_excess(float(args[0]), 16.0)
+    # excess(a, d + 1) - excess(a, d) = log1p(d / a), for non-integer d and a up to 1e12
+    a = np.array([0.5, 3.0, 9.75, 12.5, 1e3, 1e6, 1e9, 1e12])[:, None]
+    d = np.array([0.3, 2.5, 8.7, 41.25, 1000.5])
+    step = ewens._log_rising_excess(a, d + 1) - ewens._log_rising_excess(a, d)
+    assert np.all(np.abs(step - np.log1p(d / a)) <= 1e-14 * np.maximum(d + 1, 1.0))
 
 
 def test_esf_probability_uniform_theta_one():

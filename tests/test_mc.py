@@ -106,10 +106,18 @@ def test_validate_config_rejects_bad_inputs():
                 # x stands for e^{2 pi i x}: these are one point twice
                 dict(points=(0.25, 1.25)), dict(points=(0.75, -0.25)),
                 dict(model_spec=["uniform"]), dict(function_labels=[1]),
-                dict(function_labels="charpoly")):
+                dict(function_labels="charpoly"),
+                # the (num_samples, 2d) table holds at most 2^25 entries
+                dict(num_samples=10 ** 12), dict(num_samples=2 ** 24 + 1),
+                dict(num_samples=2 ** 23 + 1, points=(0.1, 0.3))):
         cfg = dict(n=10, theta=1.0, points=(0.1,), num_samples=5) | bad
         with pytest.raises(mc.RegimeViolationError):
             mc.validate_config(mc.ExperimentConfig(**cfg))
+    # the limit itself is accepted; total-cycles has two columns whatever the points
+    for points, kind, num_samples in (((0.1,), "logZ", 2 ** 24), ((0.1, 0.3), "logZ", 2 ** 23),
+                                      ((0.1, 0.3), "total-cycles", 2 ** 24)):
+        mc.validate_config(mc.ExperimentConfig(n=10, theta=1.0, points=points, kind=kind,
+                                               num_samples=num_samples))
 
 
 def test_trivial_model_requires_finite_type_point():
