@@ -32,17 +32,23 @@ class ConfigError(ValueError):
 
 @contextlib.contextmanager
 def _output(path: str | None, newline: str | None = None):
-    """Yield `path` opened for writing (a config error if it cannot be),
-    or stdout when no path is given."""
+    """Yield `path` opened for writing (a config error if it cannot be), or
+    stdout when no path is given.  A file is cut where the writing stops,
+    and one that nothing was written to, as by a failed run, is left as it was."""
     if not path:
         yield sys.stdout
         return
     try:
-        fh = open(path, "w", newline=newline)
+        fh = open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline=newline)
     except OSError as exc:
         raise ConfigError(f"cannot write output {path!r}: {exc}") from exc
     with fh:
-        yield fh
+        try:
+            yield fh
+        finally:
+            with contextlib.suppress(OSError):  # a pipe or a device has no length to cut
+                if fh.tell():
+                    fh.truncate()
 
 
 def _emit(payload: dict, fh) -> None:
@@ -123,7 +129,7 @@ def cmd_sample(args) -> int:
 
 
 def _sample_rows(n: int, groups):
-    """One JSON row per (lengths, multiplicities, row): all n counts c_1..c_n, from the nonzero ones."""
+    """One JSON row per sample's cycle groups: all n counts c_1..c_n, from the nonzero ones."""
     for i, (lengths, mults, _) in enumerate(groups):
         nonzero = dict(zip(lengths.tolist(), mults.tolist()))
         yield {"sample_index": i, "cycle_counts": _ZeroFilled(n, nonzero), "total_cycles": int(mults.sum())}

@@ -182,7 +182,7 @@ class FellerChain:
 
 
 def cycle_groups(ones: list[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cycle lengths, multiplicities and rows of a block of chain draws.
+    """Cycle lengths, multiplicities and row bounds of a block of chain draws.
 
     ones[r] holds the positions of the ones of chain r's xi_1..xi_n, as
     FellerChain.ones returns them.  A gap of length m between consecutive
@@ -190,8 +190,8 @@ def cycle_groups(ones: list[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray
     length m; the appended 1 at position n supplies the boundary term, so
     the gap lengths of a row sum to n.  One sort of the keys r n + gap
     groups them: row by row, each row's distinct lengths ascending, with
-    their counts and their row.  The keys are int64, so len(ones) * n must
-    stay below 2^63 (clt: n <= 2^53 and at most mc._BLOCK rows; sample: one row).
+    their counts; row r's are bounds[r]:bounds[r + 1].  The keys are int64,
+    so they need len(ones) * n < 2^63 (clt: n <= 2^53 and at most mc._BLOCK rows; sample: one row).
     """
     sizes = [len(o) for o in ones]
     pos = np.concatenate(ones)
@@ -200,7 +200,7 @@ def cycle_groups(ones: list[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray
     # row r's gaps lie in 1..n, so its keys lie in r n + 1..(r + 1) n
     keys, mults = np.unique(ends - pos + np.repeat(np.arange(len(ones)) * n, sizes), return_counts=True)
     row = (keys - 1) // n
-    return keys - row * n, mults, row
+    return keys - row * n, mults, np.searchsorted(row, np.arange(len(ones) + 1))
 
 
 def sample_permutation_crp(n: int, theta: EwensParameter, stream: np.random.Generator) -> Permutation:

@@ -224,7 +224,7 @@ def _eval_sample(chain: FellerChain, rng: np.random.Generator) -> np.ndarray:
 
 
 def _sample_cycle_groups(ones: list[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cycle lengths, multiplicities and rows of a block of chain draws."""
+    """Cycle lengths, multiplicities and row bounds of a block of chain draws."""
     # kept as a function of its own: perfbench's tracer counts ewens.cycles
     # by the qualified name mc._sample_cycle_groups
     return cycle_groups(ones, n)
@@ -256,17 +256,16 @@ def _eval_block(cfg: ExperimentConfig, fs, model, streams, groups) -> tuple[np.n
     (z = T_1 for w1, the product T_m otherwise) from its sample's stream,
     shared by every coordinate; total-cycles reads no multipliers.
     """
-    lengths, mults, row = groups
-    # the index of each row's first cycle
-    starts = np.append(0, np.cumsum(mults))[np.searchsorted(row, np.arange(len(streams)))]
+    lengths, mults, bounds = groups
+    # row r's cycles are cycles[r]:cycles[r + 1]
+    cycles = np.append(0, np.cumsum(mults))[bounds]
     if cfg.kind == "total-cycles":
-        total = np.diff(starts, append=mults.sum())
-        return np.column_stack([total, np.zeros(len(total))]), np.zeros(len(total), dtype=bool)
-    angles = model.sample_T(np.ones_like(lengths) if cfg.kind == "w1" else lengths, mults, row, streams)
+        return np.column_stack([np.diff(cycles), np.zeros(len(streams))]), np.zeros(len(streams), dtype=bool)
+    angles = model.sample_T(np.ones_like(lengths) if cfg.kind == "w1" else lengths, mults, bounds, streams)
     if cfg.kind == "logZ":
         # characteristic polynomial terms 1 - x^{-m} T = f(x^m T^{-1}), f = char_poly
         angles = -angles
-    return classfuncs.log_sums(fs, cfg.points, np.repeat(lengths, mults), angles, starts)
+    return classfuncs.log_sums(fs, cfg.points, np.repeat(lengths, mults), angles, cycles[:-1])
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:

@@ -5,16 +5,14 @@ supported: trivial (z = 1), uniform, absolutely continuous with a finite
 Fourier expansion, and discrete supported on the rho-th roots of unity.
 An m-cycle enters det(I - x^{-1} M) only through the product T_m of its
 m multipliers, so every model has one sampler for a block of samples,
-sample_T(ms, counts, rows, streams): counts[k] draws of T_{ms[k]} for each
-k, in that order, from streams[rows[k]]; `rows` is ascending, as
-ewens.cycle_groups returns it.  Each row reads its own stream exactly as a
-call for that row alone would.  A single z is T_1.
+sample_T(ms, counts, bounds, streams): counts[k] draws of T_{ms[k]} for each
+k, in that order; row r's blocks are k = bounds[r]..bounds[r + 1] - 1, drawn
+from streams[r], as ewens.cycle_groups bounds them.  Each row reads its own
+stream exactly as a call for that row alone would.  A single z is T_1.
 """
 
 from __future__ import annotations
 
-import itertools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +32,7 @@ class InvalidCoefficientsError(ValueError):
 class Trivial:
     """z identically 1."""
 
-    def sample_T(self, ms, counts, rows, streams) -> np.ndarray:
+    def sample_T(self, ms, counts, bounds, streams) -> np.ndarray:
         return np.zeros(int(np.sum(counts)))
 
 
@@ -48,17 +46,14 @@ class Uniform:
     past CHUNK it reads one uniform per cycle.
     """
 
-    def sample_T(self, ms, counts, rows, streams) -> np.ndarray:
+    def sample_T(self, ms, counts, bounds, streams) -> np.ndarray:
         out, j = np.empty(int(np.sum(counts))), 0
-        for stream, blocks in _rows(ms, counts, rows, streams):
+        for stream, blocks in _rows(ms, counts, bounds, streams):
             if sum(m * c for m, c in blocks) > CHUNK:  # one uniform per cycle
                 blocks = [(1, sum(c for _, c in blocks))]
             u, o = stream.random(sum(m * c for m, c in blocks)), 0
             for m, c in blocks:
-                # c = 1 is summed as a 1-D array: the rounding of its (m, 1)
-                # block's axis-0 sum, at less cost
-                block = u[o:o + m * c]
-                out[j:j + c] = np.add.reduce(block if c == 1 else block.reshape(m, c), axis=0)
+                out[j:j + c] = np.add.reduce(u[o:o + m * c].reshape(m, c), axis=0)
                 o, j = o + m * c, j + c
         return np.mod(out, 1.0, out=out)
 
@@ -98,9 +93,9 @@ class FourierDensity:
             out += c * np.exp(2j * np.pi * j * np.asarray(phi))
         return out
 
-    def sample_T(self, ms, counts, rows, streams) -> np.ndarray:
+    def sample_T(self, ms, counts, bounds, streams) -> np.ndarray:
         out = []
-        for stream, blocks in _rows(ms, counts, rows, streams):
+        for stream, blocks in _rows(ms, counts, bounds, streams):
             for m, size in blocks:
                 envelope = sum(abs(c) for c in convolved_density_coeffs(self, m).values())
                 while size > 0:
@@ -167,19 +162,19 @@ class DiscreteRoots:
         probs[[m == 1 for m in ms]] = self.probs
         return probs
 
-    def sample_T(self, ms, counts, rows, streams) -> np.ndarray:
+    def sample_T(self, ms, counts, bounds, streams) -> np.ndarray:
         # one uniform per draw, one call per row; the draws of T_m are
         # stream.choice(rho, c, p=product_probs([m])[0]) by its own inversion
         # (same uniforms, same indices) without its per-call checks
         u = np.concatenate([stream.random(sum(c for _, c in blocks))
-                            for stream, blocks in _rows(ms, counts, rows, streams)])
+                            for stream, blocks in _rows(ms, counts, bounds, streams)])
         m = np.repeat(ms, counts)
         order = np.argsort(m, kind="stable")
-        bounds = np.flatnonzero(np.diff(m[order], prepend=-1)).tolist() + [len(m)]
+        runs = np.flatnonzero(np.diff(m[order], prepend=-1)).tolist() + [len(m)]
         k = np.empty(len(u), dtype=np.intp)
         slab = max(1, _TABLE_ENTRIES // self.rho)
-        for s in range(0, len(bounds) - 1, slab):
-            edges = bounds[s:s + slab + 1]
+        for s in range(0, len(runs) - 1, slab):
+            edges = runs[s:s + slab + 1]
             cdfs = self.product_probs(m[order[edges[:-1]]].tolist()).cumsum(axis=1)
             cdfs /= cdfs[:, -1:]
             for cdf, a, b in zip(cdfs, edges, edges[1:]):
@@ -188,12 +183,11 @@ class DiscreteRoots:
         return k / self.rho
 
 
-def _rows(ms, counts, rows, streams):
+def _rows(ms, counts, bounds, streams):
     """(stream, [(m, c), ...]) for each row in order: the blocks of c draws
     of T_m of that row, as Python ints, and the stream it draws from."""
-    blocks = zip(np.asarray(rows).tolist(), np.asarray(ms).tolist(), np.asarray(counts).tolist())
-    for r, row in itertools.groupby(blocks, key=operator.itemgetter(0)):
-        yield streams[r], [(m, c) for _, m, c in row]
+    blocks = list(zip(np.asarray(ms).tolist(), np.asarray(counts).tolist()))
+    return ((stream, blocks[a:b]) for stream, a, b in zip(streams, bounds, bounds[1:]))
 
 
 MultiplierModel = Trivial | Uniform | FourierDensity | DiscreteRoots

@@ -337,8 +337,17 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
             (dict(model_spec={"type": "discrete", "rho": 1, "coeffs": {"a": 1}}), "coeffs"),
             # c_2 != conj(c_1): the inverse DFT is complex, not a law
             (dict(model_spec={"type": "discrete", "rho": 3, "coeffs": [1, 0.5, 0]}), "coeffs"),
-            (dict(function_labels=["const:nan"]), "const:nan")):
+            (dict(function_labels=["const:nan"]), "const:nan"),
+            (dict(bogus=1), "unknown config keys"),
+            (dict(centering="bogus"), "centering"),
+            (dict(function_labels=["charpoly", "charpoly"]), "one function label per point"),
+            (dict(model_spec={"type": "fourier", "coeffs": {"1": [0.3, 0.1], "-1": [0.3, 0.1]}}),
+             "Hermitian")):
         rejected(["clt", "--config", _clt_config(tmp_path, **overrides)], message)
+    # a config with no points
+    no_points = tmp_path / "no-points.json"
+    no_points.write_text(json.dumps({"version": 1, "n": 50, "theta": 1.0}))
+    rejected(["clt", "--config", str(no_points)], "points")
     # a config that is not a JSON object, or cannot be read at all
     for text in ("[1, 2]", '"x"'):
         path = tmp_path / "raw.json"
@@ -351,6 +360,7 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
     # H = 0 is a value, not "no H given"
     rejected(["discrepancy", "--kronecker", "0.414", "--n", "100", "--etk-H", "0"], "H must be")
     rejected(["discrepancy", "--kronecker", "nan", "--n", "10"], "finite")
+    rejected(["discrepancy", "--kronecker", "0.1", "0.2", "0.3", "--n", "10"], "one or two")
     rejected(["discrepancy", "--kronecker", "inf", "--n", "10", "--etk-H", "3"], "finite")
     # refused before any of the 2e9 lattice points is allocated
     rejected(["discrepancy", "--kronecker", "0.414", "--n", "10", "--etk-H", "1000000000"],
@@ -402,6 +412,35 @@ def test_clt_opens_outputs_before_the_run(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, ["clt", "--config", _clt_config(tmp_path, num_samples=10 ** 12),
                                   "--output", str(existing)])
     assert code == 2 and out == "" and "num_samples" in err and existing.read_text() == "kept"
+
+
+def test_clt_failed_run_keeps_existing_outputs(tmp_path, capsys, monkeypatch):
+    # both outputs are opened before the run but cut only when it has returned
+    output, dump = tmp_path / "result.json", tmp_path / "samples.csv"
+
+    def clt(config):
+        output.write_text("kept" * 10 ** 4)
+        dump.write_text("kept")
+        return cli.main(["clt", "--config", config, "--output", str(output), "--dump-samples", str(dump)])
+
+    # 1/1024 passes the finite-type gate (1024 > 512), but with z = 1 a cycle of
+    # a length divisible by 1024 is a zero of char_poly: the singular-sample cap stops the run
+    singular = _clt_config(tmp_path, n=10 ** 4, points=[2.0 ** -10], model_spec={"type": "trivial"},
+                           num_samples=2000, master_seed=1)
+    assert clt(singular) == 2 and "singular-sample rate" in capsys.readouterr().err
+    assert output.read_text() == "kept" * 10 ** 4 and dump.read_text() == "kept"
+    # a run that returns writes over the longer file it found
+    assert clt(_clt_config(tmp_path)) == 0
+    assert output.read_text() == json.dumps(json.loads(output.read_text()), indent=2, sort_keys=True) + "\n"
+    assert dump.read_text().startswith("sample_index,point_index,re,im")
+
+    def interrupted(cfg):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(mc, "run_experiment", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        clt(_clt_config(tmp_path))
+    assert output.read_text() == "kept" * 10 ** 4 and dump.read_text() == "kept"
 
 
 def test_clt_single_sample_reports_no_spread(tmp_path, capsys):

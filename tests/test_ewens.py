@@ -73,6 +73,17 @@ def test_cycle_groups_identity_chain():
     lengths, mults, _ = ewens.cycle_groups([np.flatnonzero(bits)], 5)
     assert lengths.tolist() == [5] and mults.tolist() == [1]
 
+    # one block of the two chains and a mixed one (cycles 2, 1, 2): row r's
+    # groups are bounds[r]:bounds[r + 1], each as its chain's own call reads them
+    chains = [np.flatnonzero(ones), np.flatnonzero(bits), np.array([0, 2, 3])]
+    lengths, mults, bounds = ewens.cycle_groups(chains, 5)
+    assert len(bounds) == 4 and bounds[0] == 0 and bounds[-1] == len(lengths)
+    for r, chain in enumerate(chains):
+        want_lengths, want_mults, want_bounds = ewens.cycle_groups([chain], 5)
+        assert lengths[bounds[r]:bounds[r + 1]].tolist() == want_lengths.tolist()
+        assert mults[bounds[r]:bounds[r + 1]].tolist() == want_mults.tolist()
+        assert want_bounds.tolist() == [0, len(want_lengths)]
+
 
 def test_sampled_cycle_counts_sum_to_n():
     rng = np.random.default_rng(42)

@@ -238,11 +238,11 @@ def test_singular_rate_above_the_cap_is_a_regime_violation(monkeypatch):
 def _per_sample_raw(cfg, fs, model, chain, i):
     """Sample i drawn and summed on its own: the reference for the blocks."""
     rng = mc.derive_stream(cfg.master_seed, i)
-    lengths, mults, row = cycle_groups([chain.ones(rng)], cfg.n)
+    lengths, mults, bounds = cycle_groups([chain.ones(rng)], cfg.n)
     cycle_lengths = np.repeat(lengths, mults)
     if cfg.kind == "total-cycles":
         return np.array([len(cycle_lengths), 0.0])
-    angles = model.sample_T(np.ones_like(lengths) if cfg.kind == "w1" else lengths, mults, row, [rng])
+    angles = model.sample_T(np.ones_like(lengths) if cfg.kind == "w1" else lengths, mults, bounds, [rng])
     if cfg.kind == "logZ":
         angles = -angles
     phi = np.mod(angles + classfuncs._fractional_products(np.array(cfg.points), cycle_lengths), 1.0)

@@ -13,7 +13,7 @@ from permchar.multipliers import (DiscreteRoots, FourierDensity, InvalidCoeffici
 
 def _one(model, ms, counts, stream):
     """model.sample_T on a block of one sample, row 0, drawn from `stream`."""
-    return model.sample_T(ms, counts, np.zeros(len(ms), dtype=int), [stream])
+    return model.sample_T(ms, counts, [0, len(ms)], [stream])
 
 
 def test_discrete_probs_roundtrip():
