@@ -14,6 +14,7 @@ from typing import Callable
 
 import numpy as np
 
+from .equidist import fractional_products
 from .ewens import Permutation
 
 _DET_SIZE_LIMIT = 12
@@ -80,17 +81,6 @@ def spectral_function_by_label(label: str) -> SpectralFunction:
     return table[label]()
 
 
-def _fractional_products(points: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """{L x} for points x (rows) and integer lengths L <= 2^53 (columns), to a few ulps of 1: Veltkamp
-    halves of x mod 1 and of L (c = 134217729 a) give four exact products, each reduced mod 1 alone."""
-    x, L = np.fmod(points, 1.0)[:, None], lengths.astype(float)
-    cx, cL = 134217729.0 * x, 134217729.0 * L
-    x_hi, L_hi = cx - (cx - x), cL - (cL - L)
-    parts = (x_hi * L_hi, x_hi * (L - L_hi), (x - x_hi) * L_hi, (x - x_hi) * (L - L_hi))
-    frac = sum(part - np.floor(part) for part in parts)
-    return frac - np.floor(frac)
-
-
 def log_sums(fs: list[SpectralFunction], points, lengths, angles,
              starts=(0,)) -> tuple[np.ndarray, np.ndarray]:
     """Branch-log sums of d class-function coordinates over the cycles of samples.
@@ -112,7 +102,7 @@ def log_sums(fs: list[SpectralFunction], points, lengths, angles,
         raise ValueError("points and functions must agree on d")
     if angles.ndim != 1 or angles.shape != lengths.shape:
         raise ValueError(f"angles must have the shape {lengths.shape} of lengths, got {angles.shape}")
-    phi = np.mod(angles + _fractional_products(points, lengths), 1.0)
+    phi = np.mod(angles + fractional_products(points, lengths), 1.0)
     d = len(fs)
     # rows (log|f_1|..log|f_d|, arg f_1..arg f_d) of every cycle
     terms = np.empty((2 * d, phi.shape[1]))

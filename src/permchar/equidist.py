@@ -95,14 +95,24 @@ def preset_certificate(phis: tuple[float, ...]) -> FiniteTypeCertificate | None:
     return None
 
 
+def fractional_products(points: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """{L x} in [0, 1) for points x (rows) and integer lengths L <= 2^53 (columns), to a few ulps of 1: Veltkamp
+    halves of x mod 1 and of L (c = 134217729 a) give four exact products, each reduced mod 1 alone."""
+    x, L = np.fmod(points, 1.0)[:, None], lengths.astype(float)
+    cx, cL = 134217729.0 * x, 134217729.0 * L
+    x_hi, L_hi = cx - (cx - x), cL - (cL - L)
+    parts = (x_hi * L_hi, x_hi * (L - L_hi), (x - x_hi) * L_hi, (x - x_hi) * (L - L_hi))
+    frac = sum(part - np.floor(part) for part in parts)
+    return frac - np.floor(frac)
+
+
 def kronecker(phis: float | tuple[float, ...], n: int) -> PointSequence:
-    """Kronecker sequence: m-th point has coordinates frac(m * phi_j)."""
+    """Kronecker sequence: the m-th point has coordinates {m phi_j}, m = 1..n, from
+    fractional_products, the routine classfuncs.log_sums reads: to a few ulps of 1 at every n."""
     if n < 1:
         raise ValueError("n must be >= 1")
     phi = np.atleast_1d(np.asarray(phis, dtype=float))
-    m = np.arange(1, n + 1, dtype=float)
-    pts = np.mod(np.outer(m, phi), 1.0)
-    return PointSequence(d=phi.size, points=pts)
+    return PointSequence(d=phi.size, points=fractional_products(phi, np.arange(1, n + 1)).T)
 
 
 def nearest_integer_distance(a):

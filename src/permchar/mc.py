@@ -9,6 +9,7 @@ sample's draws read its own stream in the order a lone sample's would.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import numbers
@@ -296,8 +297,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     mean = samples.mean(axis=0)
     var = cov = ks = None
     if cfg.num_samples > 1:
-        var = samples.var(axis=0, ddof=1)
-        cov = empirical_cov(samples)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
+            var = samples.var(axis=0, ddof=1)
+            cov = empirical_cov(samples)
+        # the samples stay below about 1e181 here, and so does their mean; var and cov square them
+        for name, value in (("var", var), ("cov", cov)):
+            if not np.isfinite(value).all():
+                raise RegimeViolationError(f"the {name} of the normalized samples overflowed "
+                                           f"at theta = {cfg.theta}")
         ks = np.array([ks_statistic(samples[:, j]) if scaled[j] else None for j in range(width)])
     return ExperimentResult(config=cfg, samples=samples, raw_mean=raw_mean,
                             mean=mean, var=var, cov=cov, ks=ks,
@@ -312,6 +319,9 @@ def _normalize(cfg: ExperimentConfig, fs, raw: np.ndarray) -> tuple[np.ndarray, 
         consts = limits.limit_constants(f)
         if cfg.centering == "theoretical":
             c = limits.centering(cfg.n, cfg.theta, consts)
+            if not cmath.isfinite(c):
+                raise RegimeViolationError(f"the centering theta m log n of {f.label} is {c} "
+                                           f"at theta = {cfg.theta}")
             out[:, j] -= c.real
             out[:, d + j] -= c.imag
         elif cfg.centering == "empirical":
@@ -320,6 +330,10 @@ def _normalize(cfg: ExperimentConfig, fs, raw: np.ndarray) -> tuple[np.ndarray, 
         # a coordinate with zero limit variance (const:c) is left unscaled, not 0/0
         for col, V in ((j, consts.V_R), (d + j, consts.V_I)):
             if V > 0:
-                out[:, col] /= limits.normalization(cfg.n, cfg.theta, V)
+                scale = limits.normalization(cfg.n, cfg.theta, V)
+                if not 0.0 < scale < math.inf:
+                    raise RegimeViolationError(f"the normalization sqrt(theta V log n) of {f.label} "
+                                               f"is {scale} at theta = {cfg.theta}")
+                out[:, col] /= scale
                 scaled[col] = True
     return out, scaled

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from permchar import classfuncs as cf
+from permchar import equidist
 from permchar.ewens import CycleType, EwensParameter, Permutation, sample_permutation_crp
 from permchar.multipliers import Uniform
 
@@ -182,6 +183,9 @@ def test_sym_char_poly_matches_dense_det_exhaustive_n4():
             a = cf.sym_char_poly(perm, float(x))
             b = cf.sym_char_poly_matrix(perm, float(x))
             assert a == pytest.approx(b, abs=1e-9)
+    # x = 2 cos(alpha) covers [-2, 2] only
+    with pytest.raises(ValueError, match="x_real"):
+        cf.sym_char_poly(perm, 2.5)
 
 
 def test_sym_part_log_sums_match_dense_det_exhaustive():
@@ -259,7 +263,7 @@ def test_fractional_products_equal_exact_fractions():
               0.5 + 1e-9, -0.3]
     lengths = np.concatenate([np.arange(1, 100), rng.integers(1, 2 ** 53, 400, endpoint=True),
                               [10 ** 12, 4 * 10 ** 15, 2 ** 53 - 1, 2 ** 53]])
-    got = cf._fractional_products(np.array(points), lengths)
+    got = equidist.fractional_products(np.array(points), lengths)
     assert got.shape == (len(points), len(lengths))
     for x, row in zip(points, got):
         for L, frac in zip(lengths.tolist(), row.tolist()):

@@ -342,7 +342,13 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
             (dict(centering="bogus"), "centering"),
             (dict(function_labels=["charpoly", "charpoly"]), "one function label per point"),
             (dict(model_spec={"type": "fourier", "coeffs": {"1": [0.3, 0.1], "-1": [0.3, 0.1]}}),
-             "Hermitian")):
+             "Hermitian"),
+            # theta m log n or theta V log n out of the doubles' range, or samples whose squares
+            # overflow: exit 2, never NaN, Infinity or all-zero samples with exit 0
+            (dict(theta=1e-310), "var of the normalized samples"),
+            (dict(theta=1e308, function_labels=["const:2"], centering="theoretical"), "centering"),
+            (dict(theta=1e308), "normalization"),
+            (dict(theta=5e-324, function_labels=["const:1.0000001"]), "normalization")):
         rejected(["clt", "--config", _clt_config(tmp_path, **overrides)], message)
     # a config with no points
     no_points = tmp_path / "no-points.json"
@@ -361,6 +367,7 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
     rejected(["discrepancy", "--kronecker", "0.414", "--n", "100", "--etk-H", "0"], "H must be")
     rejected(["discrepancy", "--kronecker", "nan", "--n", "10"], "finite")
     rejected(["discrepancy", "--kronecker", "0.1", "0.2", "0.3", "--n", "10"], "one or two")
+    rejected(["discrepancy", "--kronecker", "0.3", "--n", "0"], "n must be >= 1")
     rejected(["discrepancy", "--kronecker", "inf", "--n", "10", "--etk-H", "3"], "finite")
     # refused before any of the 2e9 lattice points is allocated
     rejected(["discrepancy", "--kronecker", "0.414", "--n", "10", "--etk-H", "1000000000"],
@@ -428,6 +435,10 @@ def test_clt_failed_run_keeps_existing_outputs(tmp_path, capsys, monkeypatch):
     singular = _clt_config(tmp_path, n=10 ** 4, points=[2.0 ** -10], model_spec={"type": "trivial"},
                            num_samples=2000, master_seed=1)
     assert clt(singular) == 2 and "singular-sample rate" in capsys.readouterr().err
+    assert output.read_text() == "kept" * 10 ** 4 and dump.read_text() == "kept"
+    # so does a centering that overflows, found once the samples are drawn
+    overflow = _clt_config(tmp_path, theta=1e308, function_labels=["const:2"], centering="theoretical")
+    assert clt(overflow) == 2 and "centering" in capsys.readouterr().err
     assert output.read_text() == "kept" * 10 ** 4 and dump.read_text() == "kept"
     # a run that returns writes over the longer file it found
     assert clt(_clt_config(tmp_path)) == 0

@@ -24,6 +24,19 @@ def test_kronecker_sequence_points():
     want = np.mod(np.arange(1, 4) * SQRT2, 1.0)
     assert np.allclose(seq.points[:, 0], want)
     assert seq.d == 1 and seq.n == 3
+    # {m x} of a tiny negative x is 1 - |m x|: a point at 0, one full turn, never at 1
+    tiny = eq.kronecker(-1e-20, 3).points
+    assert tiny.min() >= 0.0 and tiny.max() < 1.0
+    # the points are the fractions log sums read, bit for bit, at any n
+    n = 10 ** 5
+    assert np.array_equal(eq.kronecker(SQRT2, n).points[:, 0],
+                          eq.fractional_products([SQRT2], np.arange(1, n + 1))[0])
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        eq.kronecker(SQRT2, 0)
+    with pytest.raises(ValueError, match="shape"):
+        PointSequence(2, np.zeros((3, 1)))
+    with pytest.raises(ValueError, match=r"\[0, 1\)"):
+        PointSequence(1, np.array([[1.0]]))
 
 
 def test_star_discrepancy_1d_closed_form():
@@ -78,6 +91,16 @@ def test_star_discrepancy_2d_equals_corner_enumeration():
 def test_discrepancy_dimension_guard():
     with pytest.raises(DimensionUnsupportedError):
         eq.star_discrepancy_exact(PointSequence(3, np.zeros((2, 3))))
+    with pytest.raises(DimensionUnsupportedError):
+        eq.star_discrepancy_grid_oracle(PointSequence(3, np.zeros((2, 3))), 4)
+    # the lattice walk refuses d = 3 before any slab is made
+    with pytest.raises(DimensionUnsupportedError):
+        eq.etk_bound((0.1, 0.2, 0.3), 10, 2)
+    square = PointSequence(2, np.full((2, 2), 0.5))
+    with pytest.raises(DimensionUnsupportedError):
+        eq.weighted_sum(lambda t: t, square)
+    with pytest.raises(DimensionUnsupportedError):
+        eq.kh_error_bound(lambda t: t, square, delta=0.1)
 
 
 def test_etk_bound_dominates_exact():
@@ -168,6 +191,8 @@ def test_finite_type_estimate_uses_presets():
 def test_finite_type_estimate_detects_rational():
     cert = eq.finite_type_estimate(0.25, 100)
     assert cert.K == 0.0
+    with pytest.raises(ValueError, match="H_max"):
+        eq.finite_type_estimate(0.3, 1)
 
 
 def test_finite_type_estimate_generic_irrational():
@@ -196,6 +221,8 @@ def test_weighted_sum_and_singular_guard():
 def test_total_variation_monotone_and_vshape():
     assert eq.total_variation(lambda t: 3.0 * t, (0.0, 1.0)) == pytest.approx(3.0, abs=1e-5)
     assert eq.total_variation(lambda t: np.abs(t - 0.5), (0.0, 1.0)) == pytest.approx(1.0, abs=1e-5)
+    with pytest.raises(ValueError, match="empty interval"):
+        eq.total_variation(lambda t: t, (0.5, 0.5))
 
 
 def test_total_variation_past_its_refinement_cap_raises(monkeypatch):
@@ -220,3 +247,6 @@ def test_kh_error_bound_point_outside_box():
     seq = eq.kronecker(SQRT2, 50)
     with pytest.raises(eq.PointOutsideBoxError):
         eq.kh_error_bound(lambda t: t, seq, delta=0.4)
+    # [0.5, 0.5] is no interval
+    with pytest.raises(ValueError, match="delta"):
+        eq.kh_error_bound(lambda t: t, seq, delta=0.5)

@@ -290,6 +290,8 @@ def test_crp_permutation_is_valid_and_deterministic():
     assert sorted(p1.images) == list(range(1, 21))
     ct = p1.cycle_type
     assert sum(m * c for m, c in ct.nonzero()) == 20
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        ewens.sample_permutation_crp(0, theta, np.random.default_rng(3))
 
 
 def test_crp_matches_esf_frequencies():

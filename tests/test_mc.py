@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from permchar import classfuncs, mc
+from permchar import classfuncs, equidist, mc
 from permchar.ewens import EwensParameter, FellerChain, cycle_groups
 
 SQRT2 = math.sqrt(2.0) % 1.0
@@ -77,6 +77,8 @@ def test_empirical_cov_constant_column():
     x = np.stack([np.ones(100), np.arange(100.0)], axis=1)
     cov = mc.empirical_cov(x)
     assert cov[0, 0] == 0.0 and cov[0, 1] == 0.0
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        mc.empirical_cov(x[:1])
 
 
 def test_run_experiment_deterministic_single_sample():
@@ -245,7 +247,7 @@ def _per_sample_raw(cfg, fs, model, chain, i):
     angles = model.sample_T(np.ones_like(lengths) if cfg.kind == "w1" else lengths, mults, bounds, [rng])
     if cfg.kind == "logZ":
         angles = -angles
-    phi = np.mod(angles + classfuncs._fractional_products(np.array(cfg.points), cycle_lengths), 1.0)
+    phi = np.mod(angles + equidist.fractional_products(np.array(cfg.points), cycle_lengths), 1.0)
     return np.concatenate([[f.log_abs(p).sum() for f, p in zip(fs, phi)],
                            [f.arg(p).sum() for f, p in zip(fs, phi)]])
 

@@ -36,6 +36,8 @@ def test_discrete_probs_validation():
             (1, dict(probs=1.0))):  # a scalar, not a table
         with pytest.raises(InvalidCoefficientsError):
             DiscreteRoots(rho, **table)
+    with pytest.raises(ValueError, match="rho must be >= 1"):
+        DiscreteRoots(0, probs=[])
 
 
 def test_discrete_point_mass_T_is_exact_at_large_m():
