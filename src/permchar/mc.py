@@ -24,7 +24,6 @@ from .multipliers import (DiscreteRoots, FourierDensity, MultiplierModel, Trivia
 
 _KINDS = ("logZ", "w1", "w2", "total-cycles")
 _CENTERINGS = ("theoretical", "empirical", "none")
-_SINGULAR_CAP = 0.001
 # Samples per block.  A block holds a stream and a chain draw for each of its
 # samples, and at 64 a desk process peaks no higher than with one sample at a
 # time; results do not depend on it
@@ -63,7 +62,7 @@ class ExperimentResult:
     var: np.ndarray | None       # (2d,)
     cov: np.ndarray | None       # (2d, 2d) empirical covariance
     ks: np.ndarray | None        # (2d,) KS distance to N(0,1), None where a coordinate is not normalized
-    singular_rejections: int
+    singular_rejections: int    # always 0: a sample on a zero of f stops the run
 
     def to_dict(self) -> dict:
         return {
@@ -127,11 +126,11 @@ def _coefficient(c) -> complex:
     return complex(*pair)
 
 
-def derive_stream(master_seed: int, sample_index: int, retry: int = 0) -> np.random.Generator:
+def derive_stream(master_seed: int, sample_index: int) -> np.random.Generator:
     """Independent stream for one sample; stable across runs."""
     # the Generator default_rng would build, without its dispatch
-    key = (sample_index,) if retry == 0 else (sample_index, retry)
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=master_seed, spawn_key=key)))
+    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(sample_index,))
+    return np.random.Generator(np.random.PCG64(seq))
 
 
 def ks_statistic(samples: np.ndarray) -> float:
@@ -151,14 +150,21 @@ def empirical_cov(samples: np.ndarray) -> np.ndarray:
     return np.cov(samples, rowvar=False).reshape(samples.shape[1], samples.shape[1])
 
 
-def _require_finite_type(points: tuple[float, ...]) -> None:
-    # finite_type_estimate returns a preset certificate before searching
-    for phi in points:
+def _require_finite_type(cfg: ExperimentConfig, labels, rho: int) -> None:
+    for phi, label in zip(cfg.points, labels):
+        # finite_type_estimate returns a preset certificate before searching
         if finite_type_estimate(phi, 512).K <= 0.0:
             raise RegimeViolationError(
                 f"point angle {phi} has no finite-type certificate (rational dependence found)")
+        # phi is p/q with q a power of two, and arg T_m is some k/rho: an m-cycle can
+        # put m phi + arg T_m on 0 mod 1, the zero of charpoly and sympart, once q/gcd(q, rho) | m
+        q = phi.as_integer_ratio()[1]
+        length = q // math.gcd(q, rho)
+        if label in ("charpoly", "sympart") and length <= cfg.n:
+            raise RegimeViolationError(f"point {phi} is p/q with q = {q}: a cycle of length {length} "
+                                       f"<= n = {cfg.n} can put it on the zero of {label}")
     # relations among three or more points stay unchecked: the lattice search supports d <= 2
-    for pair in itertools.combinations(points, 2):
+    for pair in itertools.combinations(cfg.points, 2):
         if finite_type_estimate(pair, 64).K <= 0.0:
             raise RegimeViolationError(f"point pair {pair} fails the pairwise finite-type search")
 
@@ -208,13 +214,13 @@ def validate_config(cfg: ExperimentConfig) -> tuple[list[classfuncs.SpectralFunc
     # x stands for e^{2 pi i x}; x = p/q in lowest terms is (p % q)/q mod 1, exactly
     if len({(p % q, q) for p, q in (x.as_integer_ratio() for x in cfg.points)}) != len(cfg.points):
         raise RegimeViolationError("points must be pairwise distinct modulo 1")
-    if cfg.model_spec.get("type") in ("trivial", "discrete"):
-        _require_finite_type(cfg.points)
     labels = cfg.function_labels or tuple("charpoly" for _ in cfg.points)
     if len(labels) != len(cfg.points):
         raise RegimeViolationError("need one function label per point")
-    return ([classfuncs.spectral_function_by_label(lb) for lb in labels],
-            model_from_spec(cfg.model_spec))
+    fs, model = [classfuncs.spectral_function_by_label(lb) for lb in labels], model_from_spec(cfg.model_spec)
+    if isinstance(model, (Trivial, DiscreteRoots)):
+        _require_finite_type(cfg, labels, getattr(model, "rho", 1))
+    return fs, model
 
 
 def _eval_sample(chain: FellerChain, rng: np.random.Generator) -> np.ndarray:
@@ -231,19 +237,19 @@ def _sample_cycle_groups(ones: list[np.ndarray], n: int) -> tuple[np.ndarray, np
     return cycle_groups(ones, n)
 
 
-def _draw_blocks(chain: FellerChain, master_seed: int, indices, retry: int):
-    """(indices, streams, cycle groups) of the samples `indices`, a block at a
-    time: each chain drawn from its sample's retry stream in index order, the
+def _draw_blocks(chain: FellerChain, master_seed: int, count: int):
+    """(indices, streams, cycle groups) of samples 0..count-1, a block at a
+    time: each chain drawn from its sample's stream in index order, the
     block's cycle groups read in one call.  A block closes at _BLOCK samples
     or, at large theta, CHUNK cycles; the streams are left where the chains
     leave them."""
     block, streams, ones, cycles = [], [], [], 0
-    for i in indices:
-        streams.append(derive_stream(master_seed, i, retry))
+    for i in range(count):
+        streams.append(derive_stream(master_seed, i))
         ones.append(_eval_sample(chain, streams[-1]))
         block.append(i)
         cycles += len(ones[-1])
-        if len(block) == _BLOCK or cycles >= CHUNK or i == indices[-1]:
+        if len(block) == _BLOCK or cycles >= CHUNK or i == count - 1:
             groups, ones = _sample_cycle_groups(ones, chain.n), []
             yield block, streams, groups
             block, streams, cycles = [], [], 0
@@ -272,26 +278,18 @@ def _eval_block(cfg: ExperimentConfig, fs, model, streams, groups) -> tuple[np.n
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run the configured experiment; deterministic given the config.
 
-    Samples are drawn and evaluated a block at a time.  A sample that hits a
-    zero of f is drawn again from its next retry stream.
+    Samples are drawn and evaluated a block at a time.  A sample on a zero of
+    f stops the run; validate_config refuses the configs that resonate.
     """
     fs, model = validate_config(cfg)
     chain = FellerChain(cfg.n, EwensParameter(cfg.theta))
     width = 2 * max(1, len(fs))  # total-cycles: (count, 0)
     raw = np.empty((cfg.num_samples, width))
-    rejections = 0
-    max_rejections = max(1, int(_SINGULAR_CAP * cfg.num_samples))
-    todo, retry = range(cfg.num_samples), 0
-    while todo:
-        redo = []
-        for indices, streams, groups in _draw_blocks(chain, cfg.master_seed, todo, retry):
-            raw[indices], singular = _eval_block(cfg, fs, model, streams, groups)
-            rejections += int(singular.sum())
-            if rejections > max_rejections:
-                raise RegimeViolationError(
-                    "singular-sample rate exceeded 0.1%: regime violation suspected")
-            redo += np.array(indices)[singular].tolist()
-        todo, retry = redo, retry + 1
+    for indices, streams, groups in _draw_blocks(chain, cfg.master_seed, cfg.num_samples):
+        raw[indices], singular = _eval_block(cfg, fs, model, streams, groups)
+        if singular.any():
+            raise RegimeViolationError(f"sample {indices[singular.argmax()]} landed on a zero of f: "
+                                       f"an angle sum rounded to an integer")
     raw_mean = raw.mean(axis=0)
     samples, scaled = _normalize(cfg, fs, raw)
     mean = samples.mean(axis=0)
@@ -308,7 +306,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         ks = np.array([ks_statistic(samples[:, j]) if scaled[j] else None for j in range(width)])
     return ExperimentResult(config=cfg, samples=samples, raw_mean=raw_mean,
                             mean=mean, var=var, cov=cov, ks=ks,
-                            singular_rejections=rejections)
+                            singular_rejections=0)
 
 
 def _normalize(cfg: ExperimentConfig, fs, raw: np.ndarray) -> tuple[np.ndarray, list[bool]]:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -32,6 +33,22 @@ def test_sample_json_deterministic(capsys):
     for row in payload["samples"]:
         counts = row["cycle_counts"]
         assert sum((m + 1) * c for m, c in enumerate(counts)) == 10
+
+
+def test_sample_csv_is_the_pinned_v1_stream(capsys):
+    # every output of the package reads these chains; they hold integers only,
+    # so no SIMD rounding enters, and only a change to numpy's streams moves them
+    for n, count, digest in (
+            (1000, 20, "0c4f4394eb3e6ad7be3b86cef19a3c0151484a22c1b726c33072c6c107a2228b"),
+            # past CHUNK = 2^16 the chain is thinned through binomial and choice
+            (200000, 5, "05e3038239237a800f4bd8772cdb6c97c997a84a16c732bad360caed15191e2f")):
+        code, out, _ = run(capsys, ["sample", "--n", str(n), "--theta", "1", "--count", str(count),
+                                    "--seed", "7", "--format", "csv"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (
+            f"the v1 stream moved at n = {n} with numpy {np.__version__}: a change to "
+            f"Generator.random (every n) or to Generator.binomial or "
+            f"Generator.choice(replace=False, shuffle=False) (n > 2^16) changes every output")
 
 
 def test_sample_rejects_negative_theta(capsys):
@@ -318,6 +335,7 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
         assert out == ""
         assert "config error:" in err and message in err
 
+    dyadic = dict(n=10 ** 4, points=[2.0 ** -13], model_spec={"type": "trivial"})
     for overrides, message in (
             (dict(function_labels=[1]), "function_labels"),
             (dict(function_labels="charpoly"), "function_labels"),
@@ -348,8 +366,20 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
             (dict(theta=1e-310), "var of the normalized samples"),
             (dict(theta=1e308, function_labels=["const:2"], centering="theoretical"), "centering"),
             (dict(theta=1e308), "normalization"),
-            (dict(theta=5e-324, function_labels=["const:1.0000001"]), "normalization")):
+            (dict(theta=5e-324, function_labels=["const:1.0000001"]), "normalization"),
+            # x = 2^-13 = p/q, q = 8192: under z = 1 a cycle of length 8192 lands on the zero
+            # of charpoly or sympart, and under 4th roots one of length 8192/4
+            (dyadic, "point 0.0001220703125 is p/q with q = 8192: a cycle of length 8192 <= n = 10000"),
+            (dyadic | dict(function_labels=["sympart"]), "can put it on the zero of sympart"),
+            (dyadic | dict(model_spec={"type": "discrete", "rho": 4, "probs": [0.25] * 4}),
+             "q = 8192: a cycle of length 2048 <= n = 10000"),
+            (dyadic | dict(n=8192), "a cycle of length 8192 <= n = 8192"),
+            (dyadic | dict(model_spec={"type": "discrete", "rho": 2.5, "probs": [0.5, 0.5]}), "rho")):
         rejected(["clt", "--config", _clt_config(tmp_path, **overrides)], message)
+    # no cycle reaches 8192 at n = 8191, and antisympart and const:2 have no zero
+    for overrides in (dict(n=8191), dict(function_labels=["antisympart"]), dict(function_labels=["const:2"])):
+        code, _, err = run(capsys, ["clt", "--config", _clt_config(tmp_path, **dyadic | overrides)])
+        assert code == 0 and err == "", overrides
     # a config with no points
     no_points = tmp_path / "no-points.json"
     no_points.write_text(json.dumps({"version": 1, "n": 50, "theta": 1.0}))
@@ -430,11 +460,11 @@ def test_clt_failed_run_keeps_existing_outputs(tmp_path, capsys, monkeypatch):
         dump.write_text("kept")
         return cli.main(["clt", "--config", config, "--output", str(output), "--dump-samples", str(dump)])
 
-    # 1/1024 passes the finite-type gate (1024 > 512), but with z = 1 a cycle of
-    # a length divisible by 1024 is a zero of char_poly: the singular-sample cap stops the run
+    # 1/1024 passes the finite-type search (1024 > 512), but with z = 1 a cycle of
+    # a length divisible by 1024 is a zero of char_poly: refused before the run
     singular = _clt_config(tmp_path, n=10 ** 4, points=[2.0 ** -10], model_spec={"type": "trivial"},
                            num_samples=2000, master_seed=1)
-    assert clt(singular) == 2 and "singular-sample rate" in capsys.readouterr().err
+    assert clt(singular) == 2 and "q = 1024: a cycle of length 1024" in capsys.readouterr().err
     assert output.read_text() == "kept" * 10 ** 4 and dump.read_text() == "kept"
     # so does a centering that overflows, found once the samples are drawn
     overflow = _clt_config(tmp_path, theta=1e308, function_labels=["const:2"], centering="theoretical")

@@ -26,13 +26,11 @@ def test_derive_stream_is_the_default_rng_stream():
     # bit generator state and the same variates
     for seed in (0, 2 ** 31 - 1, 2 ** 63 + 7, 10 ** 30):
         for i in (0, 255, 10 ** 6):
-            for retry in (0, 1, 7):
-                key = (i,) if retry == 0 else (i, retry)
-                want = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
-                got = mc.derive_stream(seed, i, retry)
-                assert type(got) is type(want) and type(got.bit_generator) is type(want.bit_generator)
-                assert got.bit_generator.state == want.bit_generator.state, (seed, i, retry)
-                assert np.array_equal(got.random(16), want.random(16)), (seed, i, retry)
+            want = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+            got = mc.derive_stream(seed, i)
+            assert type(got) is type(want) and type(got.bit_generator) is type(want.bit_generator)
+            assert got.bit_generator.state == want.bit_generator.state, (seed, i)
+            assert np.array_equal(got.random(16), want.random(16)), (seed, i)
 
 
 def test_derive_stream_collision_scan():
@@ -194,47 +192,26 @@ def test_singular_counter_zero_in_regular_regime():
     assert r.singular_rejections == 0
 
 
-def test_singular_sample_is_redrawn_from_the_retry_stream(monkeypatch):
+def test_singular_sample_stops_the_run_and_is_named(monkeypatch):
+    # a sample on a zero of f is never redrawn: the run stops at the block that
+    # holds it, and the message names it
     cfg = mc.ExperimentConfig(n=200, theta=1.0, points=(SQRT2, SQRT3), kind="w2",
-                              model_spec={"type": "uniform"}, num_samples=20, master_seed=4)
-    clean = mc.run_experiment(cfg)
-    fs, model = mc.validate_config(cfg)
-    chain = FellerChain(cfg.n, EwensParameter(cfg.theta))
-    (_, streams, groups), = mc._draw_blocks(chain, cfg.master_seed, [0], 1)
-    raw0 = mc._eval_block(cfg, fs, model, streams, groups)[0]
+                              model_spec={"type": "uniform"}, num_samples=2 * mc._BLOCK, master_seed=4)
     log_sums = classfuncs.log_sums
-    calls = []
+    for block, row in ((0, 0), (1, 5)):
+        calls = []
 
-    def singular_once(*args):
-        calls.append(None)
-        sums, singular = log_sums(*args)
-        if len(calls) == 1:  # the first draw of sample 0
-            singular[0] = True
-        return sums, singular
+        def singular_once(*args):
+            calls.append(None)
+            sums, singular = log_sums(*args)
+            if len(calls) == block + 1:
+                singular[row] = True
+            return sums, singular
 
-    monkeypatch.setattr(classfuncs, "log_sums", singular_once)
-    r = mc.run_experiment(cfg)
-    assert r.singular_rejections == 1
-    assert np.array_equal(r.samples[1:], clean.samples[1:])
-    assert np.array_equal(r.samples[0], mc._normalize(cfg, fs, raw0)[0][0])
-    assert not np.array_equal(r.samples[0], clean.samples[0])
-
-
-def test_singular_rate_above_the_cap_is_a_regime_violation(monkeypatch):
-    cfg = mc.ExperimentConfig(n=50, theta=1.0, points=(SQRT2,), num_samples=10, master_seed=2)
-    log_sums = classfuncs.log_sums
-    calls = []
-
-    def always_singular(*args):  # the first sample of every call: sample 0, every draw
-        calls.append(None)
-        sums, singular = log_sums(*args)
-        singular[0] = True
-        return sums, singular
-
-    monkeypatch.setattr(classfuncs, "log_sums", always_singular)
-    with pytest.raises(mc.RegimeViolationError, match="singular-sample rate"):
-        mc.run_experiment(cfg)
-    assert len(calls) == 2  # the cap is max(1, 0.1% of 10 samples) = 1 rejection
+        monkeypatch.setattr(classfuncs, "log_sums", singular_once)
+        with pytest.raises(mc.RegimeViolationError, match=f"sample {block * mc._BLOCK + row} landed"):
+            mc.run_experiment(cfg)
+        assert len(calls) == block + 1
 
 
 def _per_sample_raw(cfg, fs, model, chain, i):

@@ -228,12 +228,11 @@ def test_one_call_equals_per_length_calls():
             assert ours.random() == ref.random()
 
 
-def _v1_sample(cfg, model, i, retry):
+def _v1_sample(cfg, model, i):
     """Sample i's cycle lengths, angles and stream as a sample was drawn on
     its own: its chain (dense up to CHUNK), np.unique of its gaps, then one
     T_m call per cycle length from the same stream."""
-    key = (i,) if retry == 0 else (i, retry)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.master_seed, spawn_key=key))
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.master_seed, spawn_key=(i,)))
     theta = EwensParameter(cfg.theta)
     if cfg.n <= mult.CHUNK:
         ones = np.flatnonzero(sample_feller_chain(chain_probabilities(cfg.n, theta), rng))
@@ -283,22 +282,20 @@ def test_block_draws_equal_per_sample_draws(monkeypatch):
                                   model_spec=law, master_seed=seed)
         fs, model = mc.validate_config(cfg)
         chain = FellerChain(n, EwensParameter(theta))
-        for retry in (0, 3):
-            indices = list(range(0, 2 * count, 2)) if retry else list(range(count))
-            blocks = 0
-            for block, streams, groups in mc._draw_blocks(chain, seed, indices, retry):
-                calls.clear()
-                raw, _ = mc._eval_block(cfg, fs, model, streams, groups)
-                blocks += 1
-                for j, i in enumerate(block):
-                    lengths, angles, stream = _v1_sample(cfg, model, i, retry)
-                    if kind == "total-cycles":
-                        assert raw[j].tolist() == [len(lengths), 0.0]
-                    else:
-                        (got_lengths, got_angles, starts), = calls
-                        part = slice(starts[j], starts[j + 1] if j + 1 < len(block) else None)
-                        assert np.array_equal(got_lengths[part], lengths), (kind, law, n, i, retry)
-                        assert np.array_equal(got_angles[part], angles), (kind, law, n, i, retry)
-                    assert streams[j].random() == stream.random()
-            if theta == 1000.0:
-                assert blocks > 1 and count < mc._BLOCK
+        blocks = 0
+        for block, streams, groups in mc._draw_blocks(chain, seed, count):
+            calls.clear()
+            raw, _ = mc._eval_block(cfg, fs, model, streams, groups)
+            blocks += 1
+            for j, i in enumerate(block):
+                lengths, angles, stream = _v1_sample(cfg, model, i)
+                if kind == "total-cycles":
+                    assert raw[j].tolist() == [len(lengths), 0.0]
+                else:
+                    (got_lengths, got_angles, starts), = calls
+                    part = slice(starts[j], starts[j + 1] if j + 1 < len(block) else None)
+                    assert np.array_equal(got_lengths[part], lengths), (kind, law, n, i)
+                    assert np.array_equal(got_angles[part], angles), (kind, law, n, i)
+                assert streams[j].random() == stream.random()
+        if theta == 1000.0:
+            assert blocks > 1 and count < mc._BLOCK
