@@ -192,9 +192,9 @@ def test_singular_counter_zero_in_regular_regime():
     assert r.singular_rejections == 0
 
 
-def test_singular_sample_stops_the_run_and_is_named(monkeypatch):
-    # a sample on a zero of f is never redrawn: the run stops at the block that
-    # holds it, and the message names it
+def test_singular_sample_is_redrawn_from_the_retry_stream(monkeypatch):
+    # there is no retry stream any more: a sample on a zero of f is never
+    # redrawn, the run stops at the block that holds it, and the message names it
     cfg = mc.ExperimentConfig(n=200, theta=1.0, points=(SQRT2, SQRT3), kind="w2",
                               model_spec={"type": "uniform"}, num_samples=2 * mc._BLOCK, master_seed=4)
     log_sums = classfuncs.log_sums
@@ -212,6 +212,24 @@ def test_singular_sample_stops_the_run_and_is_named(monkeypatch):
         with pytest.raises(mc.RegimeViolationError, match=f"sample {block * mc._BLOCK + row} landed"):
             mc.run_experiment(cfg)
         assert len(calls) == block + 1
+
+
+def test_singular_rate_above_the_cap_is_a_regime_violation(monkeypatch):
+    # the cap is zero: the first singular sample stops the run, after one log_sums call
+    cfg = mc.ExperimentConfig(n=50, theta=1.0, points=(SQRT2,), num_samples=10, master_seed=2)
+    log_sums = classfuncs.log_sums
+    calls = []
+
+    def always_singular(*args):  # the first sample of every call
+        calls.append(None)
+        sums, singular = log_sums(*args)
+        singular[0] = True
+        return sums, singular
+
+    monkeypatch.setattr(classfuncs, "log_sums", always_singular)
+    with pytest.raises(mc.RegimeViolationError, match="sample 0 landed on a zero"):
+        mc.run_experiment(cfg)
+    assert len(calls) == 1
 
 
 def _per_sample_raw(cfg, fs, model, chain, i):
