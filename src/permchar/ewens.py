@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -253,6 +253,9 @@ def _log_rising_excess(a, d):
     return float(out) if out.ndim == 0 else out
 
 
+_cached_excess = lru_cache(_log_rising_excess)  # esf_probability's normalizer: one call per (n, theta)
+
+
 def esf_probability(ct: CycleType, theta: EwensParameter) -> float:
     """Ewens sampling formula for the probability of a cycle type.
 
@@ -267,39 +270,33 @@ def esf_probability(ct: CycleType, theta: EwensParameter) -> float:
     n, k = ct.n, ct.total_cycles
     if t < n:
         log_p = (math.lgamma(t + 1) + (k - 1) * math.log(t)
-                 - (t - 1) * math.log(n + 1) - _log_rising_excess(n + 1, t - 1))
+                 - (t - 1) * math.log(n + 1) - _cached_excess(n + 1, t - 1))
     else:
-        log_p = math.lgamma(n + 1) + (k - n) * math.log(t) - _log_rising_excess(t, n)
+        log_p = math.lgamma(n + 1) + (k - n) * math.log(t) - _cached_excess(t, n)
     for m, c in ct.nonzero():
         log_p -= c * math.log(m) + math.lgamma(c + 1)
     return math.exp(log_p)
 
 
 def exact_feller_distribution(n: int, theta: EwensParameter) -> dict[CycleType, float]:
-    """Exact law of the chain's cycle type by enumerating all 2^(n-1) chains.
+    """Exact law of the chain's cycle type, merging chains of equal state.
 
-    A depth-first walk over bits 2..n, 0 before 1 (itertools.product order),
-    carries the running product of the factors p_i or 1 - p_i, left to right,
-    and the length of the open cycle.  Each cycle type sums its chains'
-    probabilities in that order from 0.0, keyed in order of first appearance.
+    Over positions 2..n+1 one dict maps a state (closed-cycle counts, open
+    run length) to its probability: bit i extends the run (1 - p_i) or closes
+    it (p_i), the one at n + 1 (p = 1) closes the last cycle, and the law is
+    the states of run 1.  States of probability 0 are kept: all types have keys.
     """
-    if not 1 <= n <= 16:
-        raise SizeLimitError(f"exact enumeration needs 1 <= n <= 16, got n = {n}")
-    p = chain_probabilities(n, theta).tolist()
-    counts, law = [0] * n, {}
-    def walk(i: int, prob: float, run: int) -> None:  # nested: a tracer sees one call, not 2^n
-        if i == n:
-            counts[run - 1] += 1
-            key = tuple(counts)
-            law[key] = law.get(key, 0.0) + prob
-        else:
-            walk(i + 1, prob * (1.0 - p[i]), run + 1)
-            counts[run - 1] += 1
-            walk(i + 1, prob * p[i], 1)
-        counts[run - 1] -= 1
-
-    walk(1, 1.0, 1)
-    return {CycleType(n, key): prob for key, prob in law.items()}
+    if not 1 <= n <= 32:
+        raise SizeLimitError(f"exact enumeration needs 1 <= n <= 32, got n = {n}")
+    states = {((0,) * n, 1): 1.0}
+    for q in chain_probabilities(n, theta).tolist()[1:] + [1.0]:
+        merged = {}
+        for (counts, run), prob in states.items():
+            merged[counts, run + 1] = prob * (1.0 - q)  # no other state extends to it
+            closed = counts[:run - 1] + (counts[run - 1] + 1,) + counts[run:], 1
+            merged[closed] = merged.get(closed, 0.0) + prob * q
+        states = merged
+    return {CycleType(n, counts): prob for (counts, run), prob in states.items() if run == 1}
 
 
 def psi_n(n: int, m, theta: EwensParameter):

@@ -402,7 +402,7 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
     # refused before any of the 2e9 lattice points is allocated
     rejected(["discrepancy", "--kronecker", "0.414", "--n", "10", "--etk-H", "1000000000"],
              "lattice points")
-    rejected(["feller-check", "--n", "0", "--theta", "1"], "1 <= n <= 16")
+    rejected(["feller-check", "--n", "0", "--theta", "1"], "1 <= n <= 32")
     # a negative seed is refused before any output is opened or written
     target = tmp_path / "s.json"
     for tail in (["--output", str(target)], ["--format", "csv", "--output", str(target)],

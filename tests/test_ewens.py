@@ -199,8 +199,9 @@ def test_exact_feller_distribution_sums_to_one():
 
 def test_exact_feller_distribution_equals_chain_loop():
     # the law summed chain by chain, in itertools.product order, each chain
-    # read by cycle_groups, the reader the Monte Carlo runs: the same keys in
-    # the same order and the same floats
+    # read by cycle_groups, the reader the Monte Carlo runs: the same cycle
+    # types, and each probability to 1e-14 relative (merged states sum in
+    # another order), exactly 0.0 where the chain loop's is
     for theta in (1e-300, 0.5, 1.0, 2.7, 1e300):
         t = EwensParameter(theta)
         for n in range(1, 13):
@@ -214,12 +215,16 @@ def test_exact_feller_distribution_equals_chain_loop():
                 ct = _chain_cycle_type(bits)
                 want[ct] = want.get(ct, 0.0) + prob
             got = ewens.exact_feller_distribution(n, t)
-            assert list(got) == list(want)
-            assert list(got.values()) == list(want.values())
+            assert set(got) == set(want)
+            for ct, ref in want.items():
+                if ref == 0.0:
+                    assert got[ct] == 0.0, (theta, ct.counts)
+                else:
+                    assert abs(got[ct] - ref) <= 1e-14 * ref, (theta, ct.counts, got[ct], ref)
 
 
 def test_exact_feller_distribution_holds_one_block():
-    # 2^15 chains of 16 bits walked depth first: one chain's counts are held at a time
+    # chains of equal state merged: one dict of (counts, open run) states per position
     tracemalloc.start()
     try:
         ewens.exact_feller_distribution(16, EwensParameter(1.0))
@@ -231,9 +236,34 @@ def test_exact_feller_distribution_holds_one_block():
 
 def test_exact_feller_distribution_size_limit():
     with pytest.raises(SizeLimitError):
-        ewens.exact_feller_distribution(17, EwensParameter(1.0))
-    with pytest.raises(ValueError, match="1 <= n <= 16"):
+        ewens.exact_feller_distribution(33, EwensParameter(1.0))
+    with pytest.raises(ValueError, match="1 <= n <= 32"):
         ewens.exact_feller_distribution(0, EwensParameter(1.0))
+
+
+def _partition_count(n: int) -> int:
+    # p(n) by the recurrence over the largest part: ways[k] counts partitions of k
+    ways = [1] + [0] * n
+    for part in range(1, n + 1):
+        for k in range(part, n + 1):
+            ways[k] += ways[k - part]
+    return ways[n]
+
+
+def test_exact_feller_distribution_past_sixteen_equals_esf():
+    # every cycle type of n up to 32 has a key, each probability is the
+    # sampling formula's (criterion 2's 1e-12 absolute, and 1e-13 relative
+    # where the formula's value is above 1e-290), and the law sums to 1
+    for n in (17, 24, 32):
+        for theta in (1e-300, 0.5, 1.0, 2.7, 1e300):
+            t = EwensParameter(theta)
+            law = ewens.exact_feller_distribution(n, t)
+            assert len(law) == _partition_count(n), (n, theta)
+            for ct, p in law.items():
+                esf = ewens.esf_probability(ct, t)
+                assert abs(p - esf) <= 1e-12, (n, theta, ct.counts, p, esf)
+                assert esf <= 1e-290 or abs(p - esf) <= 1e-13 * esf, (n, theta, ct.counts, p, esf)
+            assert abs(math.fsum(law.values()) - 1.0) <= 1e-14, (n, theta)
 
 
 def test_psi_n_known_values():
