@@ -248,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constants", help="limit constants / covariance by quadrature")
     p.add_argument("--function", nargs="+", required=True)
-    p.add_argument("--theta", type=float, default=1.0)
+    p.add_argument("--theta", type=float, default=1.0, help="scales only a covariance of two or more functions")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_constants)
 
@@ -277,7 +277,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # ConfigError and JSONDecodeError are ValueErrors
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 1
 

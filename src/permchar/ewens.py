@@ -137,14 +137,12 @@ def chain_probabilities(n: int, theta: EwensParameter) -> np.ndarray:
 
 
 def sample_feller_chain(p: np.ndarray, stream: np.random.Generator) -> np.ndarray:
-    """Draw the bits xi_1..xi_n of the Feller chain, with xi_1 = 1.
+    """Draw the bits xi_1..xi_n of the Feller chain; `p` is chain_probabilities(n, theta).
 
-    `p` is chain_probabilities(n, theta).  This dense draw is FellerChain's
-    first chunk and, up to n = CHUNK, its test oracle.
+    xi_1 = 1, as p_1 is 1 exactly and a uniform is below 1.  This dense draw
+    is FellerChain's first chunk and, up to n = CHUNK, its test oracle.
     """
-    bits = stream.random(len(p)) < p
-    bits[0] = True
-    return bits
+    return stream.random(len(p)) < p
 
 
 class FellerChain:

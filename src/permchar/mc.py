@@ -150,19 +150,19 @@ def empirical_cov(samples: np.ndarray) -> np.ndarray:
     return np.cov(samples, rowvar=False).reshape(samples.shape[1], samples.shape[1])
 
 
-def _require_finite_type(cfg: ExperimentConfig, labels, rho: int) -> None:
-    for phi, label in zip(cfg.points, labels):
+def _require_finite_type(cfg: ExperimentConfig, fs: list[classfuncs.SpectralFunction], rho: int) -> None:
+    for phi, f in zip(cfg.points, fs):
         # finite_type_estimate returns a preset certificate before searching
         if finite_type_estimate(phi, 512).K <= 0.0:
             raise RegimeViolationError(
                 f"point angle {phi} has no finite-type certificate (rational dependence found)")
-        # phi is p/q with q a power of two, and arg T_m is some k/rho: an m-cycle can
-        # put m phi + arg T_m on 0 mod 1, the zero of charpoly and sympart, once q/gcd(q, rho) | m
+        # phi is p/q with q a power of two, and arg T_m is some k/rho: an m-cycle can put
+        # m phi + arg T_m on 0 mod 1 once q/gcd(q, rho) | m, and f vanishes there if at all
         q = phi.as_integer_ratio()[1]
         length = q // math.gcd(q, rho)
-        if label in ("charpoly", "sympart") and length <= cfg.n:
+        if np.isneginf(f.log_abs(0.0)) and length <= cfg.n:
             raise RegimeViolationError(f"point {phi} is p/q with q = {q}: a cycle of length {length} "
-                                       f"<= n = {cfg.n} can put it on the zero of {label}")
+                                       f"<= n = {cfg.n} can put it on the zero of {f.label}")
     # relations among three or more points stay unchecked: the lattice search supports d <= 2
     for pair in itertools.combinations(cfg.points, 2):
         if finite_type_estimate(pair, 64).K <= 0.0:
@@ -219,7 +219,7 @@ def validate_config(cfg: ExperimentConfig) -> tuple[list[classfuncs.SpectralFunc
         raise RegimeViolationError("need one function label per point")
     fs, model = [classfuncs.spectral_function_by_label(lb) for lb in labels], model_from_spec(cfg.model_spec)
     if isinstance(model, (Trivial, DiscreteRoots)):
-        _require_finite_type(cfg, labels, getattr(model, "rho", 1))
+        _require_finite_type(cfg, fs, getattr(model, "rho", 1))
     return fs, model
 
 

@@ -88,29 +88,24 @@ class FourierDensity:
 
     def density(self, phi: np.ndarray, m: int = 1) -> np.ndarray:
         """Density of T_m at angles phi; m = 1 is the density of z."""
+        if m < 1:  # all c_j^0 = 1: not the coefficients of a density
+            raise ValueError("m must be >= 1")
         out = np.zeros_like(np.asarray(phi, dtype=float), dtype=complex)
-        for j, c in convolved_density_coeffs(self, m).items():
-            out += c * np.exp(2j * np.pi * j * np.asarray(phi))
+        for j, c in self.coeffs.items():
+            out += c ** m * np.exp(2j * np.pi * j * np.asarray(phi))
         return out
 
     def sample_T(self, ms, counts, bounds, streams) -> np.ndarray:
         out = []
         for stream, blocks in _rows(ms, counts, bounds, streams):
             for m, size in blocks:
-                envelope = sum(abs(c) for c in convolved_density_coeffs(self, m).values())
+                envelope = sum(abs(c ** m) for c in self.coeffs.values())
                 while size > 0:
                     prop = stream.random(size)
                     accept = stream.random(size) * envelope < self.density(prop, m).real
                     out.append(prop[accept])
                     size -= len(out[-1])
         return np.concatenate(out)
-
-
-def convolved_density_coeffs(model: FourierDensity, m: int) -> dict[int, complex]:
-    """Fourier coefficients of the m-fold convolution: j -> c_j^m."""
-    if m < 1:  # all c_j^0 = 1: not the coefficients of a density
-        raise ValueError("m must be >= 1")
-    return {j: c ** m for j, c in model.coeffs.items()}
 
 
 class DiscreteRoots:

@@ -97,6 +97,18 @@ def test_spectral_function_by_label():
             cf.spectral_function_by_label(label)
 
 
+def test_only_charpoly_and_sympart_vanish_and_only_at_angle_zero():
+    # the clt gate, the zero flag of log_sums and the unsplit quadrature in
+    # limits all read where f vanishes from log_abs: -inf at angle 0, and
+    # log_abs and arg finite at every other angle, up to a double from 0 or 1
+    phi = np.concatenate([np.arange(1, 4096) / 4096, [1e-300, 1.0 - 2.0 ** -53]])
+    for label in ("charpoly", "sympart", "antisympart", "const:2", "const:-0.5"):
+        f = cf.spectral_function_by_label(label)
+        at_zero = f.log_abs(0.0)
+        assert (at_zero == -math.inf) if label in ("charpoly", "sympart") else math.isfinite(at_zero), label
+        assert np.isfinite(f.log_abs(phi)).all() and np.isfinite(f.arg(phi)).all(), label
+
+
 def test_log_Z_trivial_matches_deterministic_product():
     # z = 1: log Z is sum over cycles of log(1 - e^{-2 pi i m x})
     ct = CycleType(6, (2, 2, 0, 0, 0, 0))

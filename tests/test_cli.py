@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import permchar
-from permchar import cli, ewens, mc
+from permchar import cli, ewens, limits, mc
 
 
 def run(capsys, argv):
@@ -158,6 +158,13 @@ def test_constants_covariance_two_functions(capsys):
     assert payload["d"] == 2
 
 
+def test_constants_of_one_function_do_not_depend_on_theta(capsys):
+    # theta scales only the covariance of two or more functions
+    argv = ["constants", "--function", "charpoly", "--theta"]
+    two, one = run(capsys, argv + ["2"]), run(capsys, argv + ["1"])
+    assert two[0] == 0 and two == one
+
+
 def test_feller_check(capsys):
     code, out, _ = run(capsys, ["feller-check", "--n", "8", "--theta", "1"])
     assert code == 0
@@ -249,6 +256,21 @@ def test_json_sample_memory_does_not_grow_with_n(tmp_path, capsys):
         counts = row["cycle_counts"]
         assert len(counts) == 2_000_000 and sum(counts) == row["total_cycles"]
         assert sum(m * c for m, c in enumerate(counts, start=1)) == 2_000_000
+
+
+def test_runtime_failure_exit_1(capsys, monkeypatch):
+    # a failure that is no config error ends with exit 1, its message on stderr
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    def no_convergence(*args):
+        raise limits.QuadratureError("tanh-sinh did not converge")
+
+    monkeypatch.setattr(ewens, "exact_feller_distribution", boom)
+    assert run(capsys, ["feller-check", "--n", "4", "--theta", "1"]) == (1, "", "runtime error: boom\n")
+    monkeypatch.setattr(limits, "limit_constants", no_convergence)
+    code, out, err = run(capsys, ["constants", "--function", "charpoly"])
+    assert (code, out) == (1, "") and err.startswith("runtime error: tanh-sinh")
 
 
 def test_unknown_subcommand_exit_2(capsys):
@@ -482,6 +504,24 @@ def test_clt_failed_run_keeps_existing_outputs(tmp_path, capsys, monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         clt(_clt_config(tmp_path))
     assert output.read_text() == "kept" * 10 ** 4 and dump.read_text() == "kept"
+
+
+def test_trivial_multipliers_are_the_law_on_the_first_root_of_unity(tmp_path, capsys):
+    # z = 1 is the discrete law on the rho = 1 roots: the same samples, and the
+    # same dyadic refusal, whose rho is 1 for both
+    outputs, refusals = [], []
+    for i, spec in enumerate(({"type": "trivial"}, {"type": "discrete", "rho": 1, "probs": [1]})):
+        result, dump = tmp_path / f"result-{i}.json", tmp_path / f"dump-{i}.csv"
+        config = _clt_config(tmp_path, n=1000, points=[math.sqrt(2) - 1, math.sqrt(3) % 1],
+                             model_spec=spec, num_samples=200, master_seed=4)
+        code = run(capsys, ["clt", "--config", config, "--output", str(result), "--dump-samples", str(dump)])
+        assert code == (0, "", "")
+        outputs.append((result.read_bytes(), dump.read_bytes()))
+        config = _clt_config(tmp_path, n=10 ** 4, points=[2.0 ** -13], model_spec=spec)
+        refusals.append(run(capsys, ["clt", "--config", config]))
+    assert outputs[0] == outputs[1]
+    assert refusals[0] == refusals[1]
+    assert refusals[0][0] == 2 and "q = 8192: a cycle of length 8192" in refusals[0][2]
 
 
 def test_clt_single_sample_reports_no_spread(tmp_path, capsys):

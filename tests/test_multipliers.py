@@ -106,8 +106,6 @@ def test_fourier_density_sampling_matches_density():
 
 def test_fourier_density_product_coefficients():
     model = FourierDensity({1: 0.4, -1: 0.4})
-    conv = mult.convolved_density_coeffs(model, 3)
-    assert conv[1] == pytest.approx(0.4 ** 3)
     rng = np.random.default_rng(6)
     t = _one(model, [3], [50000], rng)
     assert np.cos(2 * np.pi * t).mean() == pytest.approx(0.4 ** 3, abs=0.01)
@@ -194,7 +192,7 @@ def _per_length_T(model, m, c, stream, size):
         return stream.random(c) if size > mult.CHUNK else np.mod(stream.random((m, c)).sum(axis=0), 1.0)
     if isinstance(model, DiscreteRoots):
         return stream.choice(model.rho, size=c, p=model.product_probs([m])[0]) / model.rho
-    envelope = sum(abs(a) for a in mult.convolved_density_coeffs(model, m).values())
+    envelope = sum(abs(a ** m) for a in model.coeffs.values())
     out = np.empty(0)
     while len(out) < c:
         prop = stream.random(c - len(out))
